@@ -32,15 +32,17 @@ int main() {
     double written_mb = 0.0;
     double max_err = 0.0;
     if (std::string(codec.name) == "none") {
-      (void)core::run_post_processing(bed, config);
+      (void)core::run_pipeline(bed, config, {});
       written_mb =
           static_cast<double>(config.io_steps()) * 128.0 / 1024.0;
     } else {
-      const auto out =
-          core::run_compressed_post_processing(bed, config, codec.config);
-      ratio = out.mean_compression_ratio;
-      written_mb = out.bytes_written.megabytes();
-      max_err = out.max_abs_error;
+      const auto out = core::run_pipeline(
+          bed, config,
+          {.transform = core::SnapshotTransform::kCompress,
+           .compress = codec.config});
+      ratio = *out.mean_compression_ratio;
+      written_mb = out.snapshot_bytes_written.megabytes();
+      max_err = *out.max_abs_error;
     }
     const auto trace = bed.profile();
     const double energy = trace.energy(&power::PowerSample::system).value();

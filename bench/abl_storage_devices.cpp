@@ -11,11 +11,11 @@ int main() {
 
   struct Device {
     const char* name;
-    fio::DeviceKind kind;
+    storage::DeviceKind kind;
   };
-  const Device devices[] = {{"HDD 7200rpm", fio::DeviceKind::kHdd},
-                            {"SATA SSD", fio::DeviceKind::kSsd},
-                            {"NVRAM", fio::DeviceKind::kNvram}};
+  const Device devices[] = {{"HDD 7200rpm", storage::DeviceKind::kHdd},
+                            {"SATA SSD", storage::DeviceKind::kSsd},
+                            {"NVRAM", storage::DeviceKind::kNvram}};
 
   util::TextTable t({"Device", "Job", "Time (s)", "System W", "Energy (kJ)"});
   for (const auto& dev : devices) {

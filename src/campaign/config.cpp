@@ -121,7 +121,7 @@ std::vector<CampaignConfig> CampaignSpec::expand() const {
                         ? std::vector<double>{base.codec_tolerance}
                         : tolerances;
   const auto devs = devices.empty()
-                        ? std::vector<core::StorageDeviceKind>{base.device}
+                        ? std::vector<storage::DeviceKind>{base.device}
                         : devices;
   const auto freqs = frequencies.empty()
                          ? std::vector<double>{base.frequency_ghz}
@@ -149,7 +149,7 @@ std::vector<CampaignConfig> CampaignSpec::expand() const {
   for (double cap : caps) {
     for (double io_f : io_freqs) {
       for (double f : freqs) {
-        for (core::StorageDeviceKind dev : devs) {
+        for (storage::DeviceKind dev : devs) {
           for (double tol : tols) {
             for (codec::Kind ck : cks) {
               for (std::size_t g : gs) {
@@ -209,7 +209,7 @@ std::string describe(const CampaignConfig& config) {
   os << core::pipeline_kind_name(c.kind) << " grid=" << c.grid
      << " iters=" << c.iterations << " period=" << c.io_period
      << " codec=" << codec::kind_name(c.codec_kind)
-     << " dev=" << core::storage_device_name(c.device)
+     << " dev=" << storage::device_name(c.device)
      << " f=" << c.frequency_ghz;
   if (c.io_frequency_ghz > 0.0) {
     os << " iof=" << c.io_frequency_ghz;

@@ -36,7 +36,7 @@ struct CampaignConfig {
   codec::Kind codec_kind{codec::Kind::kRaw};
   double codec_tolerance{1e-3};
   std::size_t chunk_edge{32};
-  core::StorageDeviceKind device{core::StorageDeviceKind::kHdd};
+  storage::DeviceKind device{storage::DeviceKind::kHdd};
   double frequency_ghz{2.4};
   /// I/O-phase clock; 0 = same as frequency_ghz.
   double io_frequency_ghz{0.0};
@@ -91,7 +91,7 @@ struct CampaignSpec {
   std::vector<std::size_t> grids;
   std::vector<codec::Kind> codecs;
   std::vector<double> tolerances;
-  std::vector<core::StorageDeviceKind> devices;
+  std::vector<storage::DeviceKind> devices;
   std::vector<double> frequencies;
   std::vector<double> io_frequencies;
   std::vector<double> package_caps;

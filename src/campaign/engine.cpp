@@ -287,7 +287,7 @@ void write_campaign_json(std::ostream& os, const CampaignReport& report) {
        << codec::kind_name(c.codec_kind) << "\", \"tolerance\": ";
     json_double(os, c.codec_tolerance);
     os << ", \"chunk_edge\": " << c.chunk_edge << ", \"device\": \""
-       << core::storage_device_name(c.device) << "\", \"frequency_ghz\": ";
+       << storage::device_name(c.device) << "\", \"frequency_ghz\": ";
     json_double(os, c.frequency_ghz);
     os << ", \"io_frequency_ghz\": ";
     json_double(os, c.io_frequency_ghz);

@@ -35,7 +35,7 @@ std::string canonical_text(const CampaignConfig& config) {
   append_double_bits(text, c.codec_tolerance);
   text += "|chunk=" + std::to_string(c.chunk_edge);
   text += "|device=";
-  text += core::storage_device_name(c.device);
+  text += storage::device_name(c.device);
   text += "|freq=";
   append_double_bits(text, c.frequency_ghz);
   text += "|iofreq=";

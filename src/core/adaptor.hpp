@@ -85,23 +85,12 @@ class InSituAdaptor {
   /// step's field is also encoded with `config` and written through
   /// `writer` (charged as Write-stage I/O). The in-situ analogue of the
   /// post-processing snapshot path — triggered steps can still be archived
-  /// for later analysis, at codec-reduced byte cost.
-  ///
-  /// `stage_buffers == 0` writes through immediately (one Write interval
-  /// per rendered step). `stage_buffers >= 1` stages encoded payloads in a
-  /// bounded burst-buffer ring instead: writes are deferred until the ring
-  /// fills (or drain()), then flushed back-to-back on the shared clock —
-  /// the in-situ side of the in-transit design, trading buffer memory for
-  /// streaming-friendly write bursts. Bytes on disk are identical.
+  /// for later analysis, at codec-reduced byte cost. Writes go through
+  /// immediately: one Write interval per rendered step.
   void enable_snapshot_export(io::TimestepWriter& writer,
                               const codec::CodecConfig& config,
                               double io_cores = 3.0,
-                              double io_utilization = 0.5,
-                              std::size_t stage_buffers = 0);
-
-  /// Flush any staged-but-unwritten snapshot exports (no-op when export is
-  /// write-through or the ring is empty). Call at end-of-run.
-  void drain();
+                              double io_utilization = 0.5);
 
   /// Offer one timestep; renders (and charges the testbed) when any trigger
   /// fires. Returns the image digest if rendered.
@@ -127,16 +116,6 @@ class InSituAdaptor {
   util::Bytes snapshot_bytes_{0};
   double snapshot_io_cores_{3.0};
   double snapshot_io_utilization_{0.5};
-  /// Burst-buffer ring for staged export (entries and their payload
-  /// storage are reused across flush laps).
-  struct StagedExport {
-    int step{-1};
-    std::vector<std::uint8_t> payload;
-  };
-  std::vector<StagedExport> staged_;
-  std::size_t staged_count_{0};
-
-  void flush_staged();
 };
 
 }  // namespace greenvis::core

@@ -20,6 +20,16 @@ const char* pipeline_kind_name(PipelineKind kind) {
   return "?";
 }
 
+PipelinePlan pipeline_plan(PipelineKind kind) {
+  PipelinePlan plan;
+  if (kind == PipelineKind::kPostProcessingAsync) {
+    plan.sink = SnapshotSink::kStaged;
+  } else if (kind == PipelineKind::kInSitu) {
+    plan.sink = SnapshotSink::kNone;
+  }
+  return plan;
+}
+
 PipelineMetrics Experiment::run(PipelineKind kind,
                                 const CaseStudyConfig& config,
                                 const PipelineOptions& options) const {
@@ -30,18 +40,7 @@ PipelineMetrics Experiment::run(PipelineKind kind,
     runs.add(1);
   }
   Testbed bed(base_);
-  PipelineOutput out;
-  switch (kind) {
-    case PipelineKind::kPostProcessing:
-      out = run_post_processing(bed, config, options);
-      break;
-    case PipelineKind::kPostProcessingAsync:
-      out = run_post_processing_async(bed, config, options);
-      break;
-    case PipelineKind::kInSitu:
-      out = run_in_situ(bed, config, options);
-      break;
-  }
+  PipelineOutput out = run_pipeline(bed, config, pipeline_plan(kind), options);
 
   PipelineMetrics m;
   m.pipeline_name = out.pipeline_name;
@@ -71,16 +70,49 @@ PipelineMetrics Experiment::run(PipelineKind kind,
 
 namespace {
 
-StageRun measure_window(const power::PowerModel& model, std::string name,
-                        util::Seconds t0, util::Seconds t1,
-                        const power::PowerTrace& full) {
+/// The nnwrite / nnread stage experiment: `steps` isolated writes, or cold
+/// reads of a prepared dataset, measured from a whole sampling second.
+StageRun run_stage(const TestbedConfig& base, const CaseStudyConfig& config,
+                   int steps, bool write) {
+  GREENVIS_REQUIRE(steps >= 1);
+  Testbed bed(base);
+  util::ThreadPool pool(1);
+  heat::HeatSolver solver(config.problem, &pool);
+  solver.step();  // something physical to write
+  const auto payload = solver.temperature().serialize();
+  io::TimestepWriter writer(bed.fs(), config.dataset);
+  io::TimestepReader reader(bed.fs(), config.dataset);
+  if (!write) {
+    // Preparation (unmeasured): write the dataset, then flush everything
+    // out of the caches so the reads are cold.
+    for (int s = 0; s < steps; ++s) {
+      writer.write_step(s, payload);
+    }
+    bed.fs().drop_caches();
+  }
+
+  // Align the measured window to whole sampling seconds.
+  bed.clock().advance_to(util::Seconds{std::ceil(bed.clock().now().value())});
+  const util::Seconds t0 = bed.clock().now();
+  for (int s = 0; s < steps; ++s) {
+    bed.run_io(write ? stage::kWrite : stage::kRead, config.io_stage_cores,
+               config.io_stage_utilization, [&] {
+                 if (write) {
+                   writer.write_step(s, payload);
+                 } else {
+                   (void)reader.read_step(s);
+                 }
+               });
+  }
+  const util::Seconds t1 = bed.clock().now();
+
   StageRun run;
-  run.name = std::move(name);
+  run.name = write ? "nnwrite" : "nnread";
   run.duration = t1 - t0;
-  run.trace = full.slice(t0, t1);
+  run.trace = bed.profile().slice(t0, t1);
   run.average_power = run.trace.average(&power::PowerSample::system);
   run.average_dynamic_power =
-      run.average_power - model.idle_system_power();
+      run.average_power - bed.power_model().idle_system_power();
   return run;
 }
 
@@ -88,58 +120,12 @@ StageRun measure_window(const power::PowerModel& model, std::string name,
 
 StageRun Experiment::run_write_stage(const CaseStudyConfig& config,
                                      int steps) const {
-  GREENVIS_REQUIRE(steps >= 1);
-  Testbed bed(base_);
-  util::ThreadPool pool(1);
-  heat::HeatSolver solver(config.problem, &pool);
-  solver.step();  // something physical to write
-  const auto payload = solver.temperature().serialize();
-
-  // Align the measured window to whole sampling seconds.
-  bed.clock().advance_to(util::Seconds{std::ceil(bed.clock().now().value())});
-  const util::Seconds t0 = bed.clock().now();
-
-  io::TimestepWriter writer(bed.fs(), config.dataset);
-  for (int s = 0; s < steps; ++s) {
-    bed.run_io(stage::kWrite, config.io_stage_cores,
-               config.io_stage_utilization,
-               [&] { writer.write_step(s, payload); });
-  }
-  const util::Seconds t1 = bed.clock().now();
-  return measure_window(bed.power_model(), "nnwrite", t0, t1,
-                        bed.profile());
+  return run_stage(base_, config, steps, true);
 }
 
 StageRun Experiment::run_read_stage(const CaseStudyConfig& config,
                                     int steps) const {
-  GREENVIS_REQUIRE(steps >= 1);
-  Testbed bed(base_);
-  util::ThreadPool pool(1);
-  heat::HeatSolver solver(config.problem, &pool);
-  solver.step();
-  const auto payload = solver.temperature().serialize();
-
-  // Preparation (unmeasured): write the dataset, then flush everything out
-  // of the caches so the reads are cold.
-  {
-    io::TimestepWriter writer(bed.fs(), config.dataset);
-    for (int s = 0; s < steps; ++s) {
-      writer.write_step(s, payload);
-    }
-    bed.fs().drop_caches();
-  }
-  bed.clock().advance_to(util::Seconds{std::ceil(bed.clock().now().value())});
-  const util::Seconds t0 = bed.clock().now();
-
-  io::TimestepReader reader(bed.fs(), config.dataset);
-  for (int s = 0; s < steps; ++s) {
-    bed.run_io(stage::kRead, config.io_stage_cores,
-               config.io_stage_utilization,
-               [&] { (void)reader.read_step(s); });
-  }
-  const util::Seconds t1 = bed.clock().now();
-  return measure_window(bed.power_model(), "nnread", t0, t1,
-                        bed.profile());
+  return run_stage(base_, config, steps, false);
 }
 
 }  // namespace greenvis::core

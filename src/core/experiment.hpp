@@ -18,6 +18,10 @@ enum class PipelineKind { kPostProcessing, kPostProcessingAsync, kInSitu };
 
 [[nodiscard]] const char* pipeline_kind_name(PipelineKind kind);
 
+/// The run_pipeline plan of a paper pipeline: sync sink, staged sink, or
+/// in-situ (no sink), each with config.snapshot_codec as the transform.
+[[nodiscard]] PipelinePlan pipeline_plan(PipelineKind kind);
+
 struct PipelineMetrics {
   std::string pipeline_name;
   std::string case_name;

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <memory>
+#include <span>
 
+#include "src/codec/field_codec.hpp"
 #include "src/io/dataset.hpp"
 #include "src/obs/registry.hpp"
 #include "src/obs/tracer.hpp"
@@ -12,386 +16,336 @@
 
 namespace greenvis::core {
 
-namespace {
-
-/// Simulate one step: real solve + modeled compute burst.
-void simulate_step(Testbed& bed, heat::HeatSolver& solver) {
-  obs::ScopedSpan span("stage.simulate", obs::kCatStage);
-  solver.step();
-  bed.run_compute(solver.step_activity(), stage::kSimulation);
+machine::ActivityRecord snapshot_codec_activity(std::size_t cells,
+                                                SnapshotTransform transform) {
+  const double n = static_cast<double>(cells);
+  machine::ActivityRecord work;
+  work.flops = n * (transform == SnapshotTransform::kCompress ? 60.0 : 12.0);
+  work.active_cores = 1;
+  work.dram_bytes = util::Bytes{static_cast<std::uint64_t>(n * 16)};
+  return work;
 }
 
-/// Render one frame: real raster + modeled compute burst. `frame` is a
-/// caller-owned buffer reused across steps (no per-frame image allocation).
-void visualize_step(Testbed& bed, const vis::VisPipeline& pipeline,
-                    const util::Field2D& field, PipelineOutput& out,
-                    bool keep, vis::Image& frame) {
-  obs::ScopedSpan span("stage.visualize", obs::kCatStage);
-  pipeline.render_into(field, frame);
-  bed.run_compute(pipeline.render_activity(), stage::kVisualization);
-  out.image_digests.push_back(frame.digest());
-  ++out.visualized_steps;
-  if (keep) {
-    out.images.push_back(frame);
+namespace {
+
+/// Encodes the live field for storage and decodes read-back payloads (which
+/// arrive in write order) into the field to render. Dispatch is once per
+/// snapshot, never per cell.
+class Transform {
+ public:
+  virtual ~Transform() = default;
+  virtual void encode(const util::Field2D& field, util::ScratchArena& arena,
+                      std::vector<std::uint8_t>& payload) = 0;
+  virtual const util::Field2D& decode(std::span<const std::uint8_t> payload,
+                                      util::ScratchArena& arena) = 0;
+  /// Publish the reconstruction-quality fields after the last decode.
+  virtual void finish(PipelineOutput& out) const { (void)out; }
+
+  /// Modeled compute charged per encode and per decode (none when free).
+  std::optional<machine::ActivityRecord> work;
+};
+
+/// config.snapshot_codec. Raw by default: byte-identical to the legacy
+/// serialization, and no modeled codec compute is charged.
+class CodecTransform final : public Transform {
+ public:
+  CodecTransform(const codec::CodecConfig& config, std::size_t cells,
+                 util::ThreadPool& pool)
+      : codec_(config) {
+    // Chunk encode may fan out across the pool for large fields (bytes are
+    // pool-size-invariant).
+    codec_.set_pool(&pool);
+    if (codec_.active()) {
+      work = snapshot_codec_activity(cells);
+    }
   }
+  void encode(const util::Field2D& field, util::ScratchArena& arena,
+              std::vector<std::uint8_t>& payload) override {
+    codec_.set_arena(&arena);
+    codec_.encode(field, payload);
+  }
+  const util::Field2D& decode(std::span<const std::uint8_t> payload,
+                              util::ScratchArena& arena) override {
+    codec_.set_arena(&arena);
+    codec_.decode_into(payload, field_);
+    return field_;
+  }
+
+ private:
+  codec::FieldCodec codec_;
+  util::Field2D field_;
+};
+
+/// Stride sampling. Keeps the exact fields to score the reconstruction (an
+/// analysis convenience — the testbed app would not retain them).
+class SampleTransform final : public Transform {
+ public:
+  explicit SampleTransform(std::size_t stride) : stride_(stride) {
+    GREENVIS_REQUIRE(stride >= 1);
+  }
+  void encode(const util::Field2D& field, util::ScratchArena& /*arena*/,
+              std::vector<std::uint8_t>& payload) override {
+    payload = vis::downsample(field, stride_).serialize();
+    truths_.push_back(field);
+  }
+  const util::Field2D& decode(std::span<const std::uint8_t> payload,
+                              util::ScratchArena& /*arena*/) override {
+    const util::Field2D& truth = truths_[decoded_++];
+    util::Field2D sampled = util::Field2D::deserialize(payload);
+    field_ = stride_ == 1 ? std::move(sampled)
+                          : vis::resample(sampled, truth.nx(), truth.ny());
+    error_sum_ += vis::rms_difference(field_, truth);
+    return field_;
+  }
+  void finish(PipelineOutput& out) const override {
+    out.mean_rms_error =
+        decoded_ > 0 ? error_sum_ / static_cast<double>(decoded_) : 0.0;
+  }
+
+ private:
+  std::size_t stride_;
+  std::vector<util::Field2D> truths_;
+  std::size_t decoded_{0};
+  double error_sum_{0.0};
+  util::Field2D field_;
+};
+
+/// io::compress Lorenzo codec, charged both ways. Keeps the exact fields to
+/// score the reconstruction.
+class CompressTransform final : public Transform {
+ public:
+  CompressTransform(const io::CompressConfig& config, std::size_t cells)
+      : config_(config) {
+    work = snapshot_codec_activity(cells, SnapshotTransform::kCompress);
+  }
+  void encode(const util::Field2D& field, util::ScratchArena& /*arena*/,
+              std::vector<std::uint8_t>& payload) override {
+    payload = io::compress_field(field, config_);
+    ratio_sum_ += io::compression_ratio(field, payload);
+    truths_.push_back(field);
+  }
+  const util::Field2D& decode(std::span<const std::uint8_t> payload,
+                              util::ScratchArena& /*arena*/) override {
+    field_ = io::decompress_field(payload);
+    const util::Field2D& truth = truths_[decoded_++];
+    for (std::size_t k = 0; k < field_.size(); ++k) {
+      max_abs_error_ = std::max(
+          max_abs_error_, std::abs(field_.values()[k] - truth.values()[k]));
+    }
+    return field_;
+  }
+  void finish(PipelineOutput& out) const override {
+    out.max_abs_error = max_abs_error_;
+    out.mean_compression_ratio =
+        decoded_ > 0 ? ratio_sum_ / static_cast<double>(decoded_) : 0.0;
+  }
+
+ private:
+  io::CompressConfig config_;
+  std::vector<util::Field2D> truths_;
+  std::size_t decoded_{0};
+  double ratio_sum_{0.0};
+  double max_abs_error_{0.0};
+  util::Field2D field_;
+};
+
+std::unique_ptr<Transform> make_transform(const CaseStudyConfig& config,
+                                          const PipelinePlan& plan,
+                                          util::ThreadPool& pool) {
+  const std::size_t cells = config.problem.nx * config.problem.ny;
+  switch (plan.transform) {
+    case SnapshotTransform::kSample:
+      return std::make_unique<SampleTransform>(plan.stride);
+    case SnapshotTransform::kCompress:
+      return std::make_unique<CompressTransform>(plan.compress, cells);
+    case SnapshotTransform::kCodec:
+      break;
+  }
+  return std::make_unique<CodecTransform>(config.snapshot_codec, cells, pool);
+}
+
+std::string pipeline_name(const PipelinePlan& plan) {
+  if (plan.sink == SnapshotSink::kNone) {
+    return "In-situ";
+  }
+  std::string detail;
+  switch (plan.transform) {
+    case SnapshotTransform::kCodec:
+      break;
+    case SnapshotTransform::kSample:
+      detail = "sampled 1/" + std::to_string(plan.stride);
+      break;
+    case SnapshotTransform::kCompress:
+      detail = plan.compress.mode == io::CompressionMode::kLossless
+                   ? "lossless compression"
+                   : "lossy, eb=" + std::to_string(plan.compress.error_bound);
+      break;
+  }
+  if (plan.sink == SnapshotSink::kStaged) {
+    detail = detail.empty() ? "async staging" : "async staging, " + detail;
+  }
+  return detail.empty() ? "Post-processing"
+                        : "Post-processing (" + detail + ")";
 }
 
 }  // namespace
 
-PipelineOutput run_post_processing(Testbed& bed,
-                                   const CaseStudyConfig& config,
-                                   const PipelineOptions& options) {
+PipelineOutput run_pipeline(Testbed& bed, const CaseStudyConfig& config,
+                            const PipelinePlan& plan,
+                            const PipelineOptions& options) {
   PipelineOutput out;
-  out.pipeline_name = "Post-processing";
+  out.pipeline_name = pipeline_name(plan);
   util::ThreadPool pool(options.host_threads);
   heat::HeatSolver solver(config.problem, &pool);
   vis::VisPipeline vis_pipeline(config.vis, &pool);
   vis::Image frame;  // reused across visualize steps
+  const std::unique_ptr<Transform> transform =
+      plan.sink == SnapshotSink::kNone ? nullptr
+                                       : make_transform(config, plan, pool);
   io::TimestepWriter writer(bed.fs(), config.dataset);
+  // The sync sink's one snapshot slot, then the read-back buffer. Its
+  // payload and arena are reused, so the steady-state encode/decode path
+  // performs zero heap allocations.
+  sched::StagedSnapshot buffer;
 
-  // Snapshot codec (raw by default: byte-identical to the legacy
-  // serialization, and no modeled codec compute is charged). The arena is
-  // reset per output step, so the steady-state encode/decode path performs
-  // zero heap allocations.
-  util::ScratchArena arena;
-  codec::FieldCodec snap_codec(config.snapshot_codec, &arena);
-  // Modeled per-snapshot codec cost (quantize + delta + pack is a handful
-  // of ops per cell; one streaming read + one write of the field).
-  const double cells =
-      static_cast<double>(config.problem.nx * config.problem.ny);
-  machine::ActivityRecord codec_work;
-  codec_work.flops = cells * 12.0;
-  codec_work.active_cores = 1;
-  codec_work.dram_bytes = util::Bytes{static_cast<std::uint64_t>(cells * 16)};
-
-  // Phase 1: simulate, writing every io_period-th step to disk.
-  std::vector<std::uint8_t> payload;
-  for (int step = 0; step < config.iterations; ++step) {
-    simulate_step(bed, solver);
-    if (config.is_io_step(step)) {
-      arena.reset();
-      snap_codec.encode(solver.temperature(), payload);
-      if (snap_codec.active()) {
-        bed.run_compute(codec_work, stage::kSimulation);
-      }
-      out.snapshot_bytes_written += util::Bytes{payload.size()};
-      out.snapshot_bytes_raw +=
-          util::Bytes{snap_codec.last_stats().raw_bytes};
-      bed.run_io(stage::kWrite, config.io_stage_cores,
-                 config.io_stage_utilization,
-                 [&] { writer.write_step(step, payload); });
+  // Every charge lands on the producer's compute cursor `cpu`. Synchronous
+  // I/O regions bring the shared clock up to the cursor (run_io_at); under
+  // the staged sink the writer thread owns the clock until the drain
+  // barrier, placing write k at max(write k-1 end, snapshot k ready).
+  util::Seconds cpu = bed.clock().now();
+  const auto compute = [&](const machine::ActivityRecord& work,
+                           const char* phase) {
+    cpu = bed.run_compute_at(cpu, work, phase);
+  };
+  const auto io = [&](const char* phase, const std::function<void()>& body) {
+    cpu = bed.run_io_at(cpu, phase, config.io_stage_cores,
+                        config.io_stage_utilization, body);
+  };
+  const auto visualize = [&](const util::Field2D& field) {
+    obs::ScopedSpan span("stage.visualize", obs::kCatStage);
+    vis_pipeline.render_into(field, frame);
+    compute(vis_pipeline.render_activity(), stage::kVisualization);
+    out.image_digests.push_back(frame.digest());
+    ++out.visualized_steps;
+    if (options.keep_images) {
+      out.images.push_back(frame);
     }
-  }
-  out.steps = config.iterations;
-  out.final_field = solver.temperature();
+  };
 
-  // Between phases: sync and drop the caches (Sec. IV-C) so the read phase
-  // really hits the disk.
-  bed.run_io(stage::kWrite, config.io_stage_cores,
-             config.io_stage_utilization, [&] { bed.fs().drop_caches(); });
-
-  // Phase 2: read each written step back and visualize it.
-  io::TimestepReader reader(bed.fs(), config.dataset);
-  util::Field2D field;
-  for (int step = 0; step < config.iterations; ++step) {
-    if (!config.is_io_step(step)) {
-      continue;
-    }
-    bed.run_io(stage::kRead, config.io_stage_cores,
-               config.io_stage_utilization,
-               [&] { payload = reader.read_step(step); });
-    arena.reset();
-    snap_codec.decode_into(payload, field);
-    if (snap_codec.active()) {
-      bed.run_compute(codec_work, stage::kRead);
-    }
-    out.snapshot_bytes_read += util::Bytes{payload.size()};
-    visualize_step(bed, vis_pipeline, field, out, options.keep_images, frame);
-  }
-  return out;
-}
-
-PipelineOutput run_post_processing_async(Testbed& bed,
-                                         const CaseStudyConfig& config,
-                                         const PipelineOptions& options) {
-  PipelineOutput out;
-  out.pipeline_name = "Post-processing (async staging)";
-  util::ThreadPool pool(options.host_threads);
-  heat::HeatSolver solver(config.problem, &pool);
-  vis::VisPipeline vis_pipeline(config.vis, &pool);
-  vis::Image frame;  // reused across visualize steps
-  io::TimestepWriter writer(bed.fs(), config.dataset);
-
-  // Each staging slot owns the arena its encode scratches in; the codec is
-  // re-pointed at the slot per snapshot. Chunk encode may fan out across
-  // `pool` for large fields (bytes are pool-size-invariant).
-  codec::FieldCodec snap_codec(config.snapshot_codec);
-  snap_codec.set_pool(&pool);
-  const double cells =
-      static_cast<double>(config.problem.nx * config.problem.ny);
-  machine::ActivityRecord codec_work;
-  codec_work.flops = cells * 12.0;
-  codec_work.active_cores = 1;
-  codec_work.dram_bytes = util::Bytes{static_cast<std::uint64_t>(cells * 16)};
-
-  // Phase 1, overlapped: the producer (this thread) simulates and encodes
-  // along its private compute cursor `cpu`; the stager's writer thread owns
-  // the shared clock, placing write k at max(write k-1 end, snapshot k
-  // ready). Writer-side load/phase intervals go to private sinks and are
-  // merged at the drain barrier, so the main timelines see genuinely
+  // Staged sink: writer-side load/phase intervals go to private sinks and
+  // are merged at the drain barrier, so the main timelines see genuinely
   // concurrent simulate/write activity.
   machine::LoadTimeline writer_loads;
   trace::Timeline writer_phases;
-  sched::AsyncStager stager(
-      sched::StagingConfig{options.stage_buffers,
-                           std::min(options.stage_queue_depth,
-                                    options.stage_buffers)},
-      [&](std::span<sched::StagedSnapshot* const> batch, util::Seconds start) {
-        // One claimed window: successive writes chain through `t`, and no
-        // snapshot's write starts before its encode finished.
-        util::Seconds t = start;
-        for (sched::StagedSnapshot* snap : batch) {
-          t = bed.run_io_at(
-              std::max(t, snap->ready), stage::kWrite, config.io_stage_cores,
-              config.io_stage_utilization,
-              [&] { writer.write_step(snap->step, snap->payload); },
-              &writer_loads, &writer_phases);
-        }
-        return t;
-      });
+  std::optional<sched::AsyncStager> stager;
+  if (plan.sink == SnapshotSink::kStaged) {
+    stager.emplace(
+        sched::StagingConfig{options.stage_buffers,
+                             std::min(options.stage_queue_depth,
+                                      options.stage_buffers)},
+        [&](std::span<sched::StagedSnapshot* const> batch,
+            util::Seconds start) {
+          // One claimed window: successive writes chain through `t`, and
+          // no snapshot's write starts before its encode finished.
+          util::Seconds t = start;
+          for (sched::StagedSnapshot* snap : batch) {
+            t = bed.run_io_at(
+                std::max(t, snap->ready), stage::kWrite,
+                config.io_stage_cores, config.io_stage_utilization,
+                [&] { writer.write_step(snap->step, snap->payload); },
+                &writer_loads, &writer_phases);
+          }
+          return t;
+        });
+  }
 
-  util::Seconds cpu = bed.clock().now();
   for (int step = 0; step < config.iterations; ++step) {
     {
       obs::ScopedSpan span("stage.simulate", obs::kCatStage);
       solver.step();
-      cpu = bed.run_compute_at(cpu, solver.step_activity(), stage::kSimulation);
+      compute(solver.step_activity(), stage::kSimulation);
     }
     if (!config.is_io_step(step)) {
       continue;
     }
-    sched::AsyncStager::Slot slot = stager.acquire();
-    if (slot.freed_at > cpu) {
-      // Backpressure: the ring was still draining past our cursor. The
-      // producer busy-waits like an I/O region until the slot's write ends.
-      bed.record_stall(stage::kWrite, cpu, slot.freed_at,
-                       config.io_stage_cores, config.io_stage_utilization);
-      cpu = slot.freed_at;
-      if (obs::enabled()) {
-        static obs::Counter& stalls =
-            obs::Registry::global().counter("sched.virtual_stalls");
-        stalls.add(1);
+    const util::Field2D& field = solver.temperature();
+    if (plan.sink == SnapshotSink::kNone) {
+      visualize(field);
+      continue;
+    }
+    sched::StagedSnapshot* snap = &buffer;
+    if (stager) {
+      const sched::AsyncStager::Slot slot = stager->acquire();
+      if (slot.freed_at > cpu) {
+        // Backpressure: the ring was still draining past our cursor. The
+        // producer busy-waits like an I/O region until the slot's write
+        // ends.
+        bed.record_stall(stage::kWrite, cpu, slot.freed_at,
+                         config.io_stage_cores, config.io_stage_utilization);
+        cpu = slot.freed_at;
+        if (obs::enabled()) {
+          static obs::Counter& stalls =
+              obs::Registry::global().counter("sched.virtual_stalls");
+          stalls.add(1);
+        }
       }
+      snap = slot.snapshot;
     }
-    sched::StagedSnapshot& snap = *slot.snapshot;
-    snap.arena.reset();
-    snap_codec.set_arena(&snap.arena);
+    snap->arena.reset();
     {
-      obs::ScopedSpan span("sched.encode", obs::kCatStage);
-      snap_codec.encode(solver.temperature(), snap.payload);
+      obs::ScopedSpan span("stage.encode", obs::kCatStage);
+      transform->encode(field, snap->arena, snap->payload);
     }
-    if (snap_codec.active()) {
-      cpu = bed.run_compute_at(cpu, codec_work, stage::kSimulation);
+    if (transform->work) {
+      compute(*transform->work, stage::kSimulation);
     }
-    snap.step = step;
-    snap.raw_bytes = snap_codec.last_stats().raw_bytes;
-    out.snapshot_bytes_written += util::Bytes{snap.payload.size()};
-    out.snapshot_bytes_raw += util::Bytes{snap.raw_bytes};
-    stager.submit(cpu);
+    snap->step = step;
+    snap->raw_bytes = field.serialized_bytes();
+    out.snapshot_bytes_written += util::Bytes{snap->payload.size()};
+    out.snapshot_bytes_raw += util::Bytes{snap->raw_bytes};
+    if (stager) {
+      stager->submit(cpu);
+    } else {
+      io(stage::kWrite, [&] { writer.write_step(step, snap->payload); });
+    }
   }
   out.steps = config.iterations;
   out.final_field = solver.temperature();
 
-  // Drain barrier: everything staged is on disk; both tracks join and the
-  // shared clock lands at the later of compute-end and write-end.
-  const util::Seconds io_end = stager.drain();
-  cpu = std::max(cpu, io_end);
+  if (stager) {
+    // Drain barrier: everything staged is on disk; both tracks join at the
+    // later of compute-end and write-end.
+    cpu = std::max(cpu, stager->drain());
+    bed.loads().merge(writer_loads);
+    for (const auto& iv : writer_phases.intervals()) {
+      bed.phases().record(iv.category, iv.begin, iv.end);
+    }
+  }
+  if (plan.sink != SnapshotSink::kNone) {
+    // Sync and drop the caches (Sec. IV-C) so the read phase really hits
+    // the disk, then read each written step back, decode and render it.
+    io(stage::kWrite, [&] { bed.fs().drop_caches(); });
+    io::TimestepReader reader(bed.fs(), config.dataset);
+    for (int step = 0; step < config.iterations; ++step) {
+      if (!config.is_io_step(step)) {
+        continue;
+      }
+      io(stage::kRead, [&] { buffer.payload = reader.read_step(step); });
+      buffer.arena.reset();
+      const util::Field2D& field = transform->decode(buffer.payload,
+                                                     buffer.arena);
+      if (transform->work) {
+        compute(*transform->work, stage::kRead);
+      }
+      out.snapshot_bytes_read += util::Bytes{buffer.payload.size()};
+      visualize(field);
+    }
+    transform->finish(out);
+  }
+  // The shared clock ends where the producer's cursor does.
   if (cpu > bed.clock().now()) {
     bed.clock().advance_to(cpu);
   }
-  bed.loads().merge(writer_loads);
-  for (const auto& iv : writer_phases.intervals()) {
-    bed.phases().record(iv.category, iv.begin, iv.end);
-  }
-
-  bed.run_io(stage::kWrite, config.io_stage_cores,
-             config.io_stage_utilization, [&] { bed.fs().drop_caches(); });
-
-  // Phase 2: identical to the sync pipeline (same reads, same renders).
-  util::ScratchArena arena;
-  snap_codec.set_arena(&arena);
-  io::TimestepReader reader(bed.fs(), config.dataset);
-  util::Field2D field;
-  std::vector<std::uint8_t> payload;
-  for (int step = 0; step < config.iterations; ++step) {
-    if (!config.is_io_step(step)) {
-      continue;
-    }
-    bed.run_io(stage::kRead, config.io_stage_cores,
-               config.io_stage_utilization,
-               [&] { payload = reader.read_step(step); });
-    arena.reset();
-    snap_codec.decode_into(payload, field);
-    if (snap_codec.active()) {
-      bed.run_compute(codec_work, stage::kRead);
-    }
-    out.snapshot_bytes_read += util::Bytes{payload.size()};
-    visualize_step(bed, vis_pipeline, field, out, options.keep_images, frame);
-  }
-  return out;
-}
-
-SampledOutput run_sampled_post_processing(Testbed& bed,
-                                          const CaseStudyConfig& config,
-                                          std::size_t stride,
-                                          const PipelineOptions& options) {
-  GREENVIS_REQUIRE(stride >= 1);
-  SampledOutput out;
-  out.base.pipeline_name =
-      "Post-processing (sampled 1/" + std::to_string(stride) + ")";
-  util::ThreadPool pool(options.host_threads);
-  heat::HeatSolver solver(config.problem, &pool);
-  vis::VisPipeline vis_pipeline(config.vis, &pool);
-  vis::Image frame;  // reused across visualize steps
-  io::TimestepWriter writer(bed.fs(), config.dataset);
-
-  // Phase 1: simulate; sample and write every io_period-th step. Keep the
-  // exact fields so the reconstruction error can be scored later (an
-  // analysis convenience — the testbed app would not retain them).
-  std::vector<util::Field2D> truths;
-  for (int step = 0; step < config.iterations; ++step) {
-    simulate_step(bed, solver);
-    if (config.is_io_step(step)) {
-      const util::Field2D sampled = vis::downsample(solver.temperature(), stride);
-      const auto payload = sampled.serialize();
-      out.bytes_written += util::Bytes{payload.size()};
-      bed.run_io(stage::kWrite, config.io_stage_cores,
-                 config.io_stage_utilization,
-                 [&] { writer.write_step(step, payload); });
-      truths.push_back(solver.temperature());
-    }
-  }
-  out.base.steps = config.iterations;
-  out.base.final_field = solver.temperature();
-  bed.run_io(stage::kWrite, config.io_stage_cores,
-             config.io_stage_utilization, [&] { bed.fs().drop_caches(); });
-
-  // Phase 2: read the sampled steps back, reconstruct, visualize.
-  io::TimestepReader reader(bed.fs(), config.dataset);
-  double error_sum = 0.0;
-  std::size_t truth_idx = 0;
-  for (int step = 0; step < config.iterations; ++step) {
-    if (!config.is_io_step(step)) {
-      continue;
-    }
-    std::vector<std::uint8_t> payload;
-    bed.run_io(stage::kRead, config.io_stage_cores,
-               config.io_stage_utilization,
-               [&] { payload = reader.read_step(step); });
-    const util::Field2D sampled = util::Field2D::deserialize(payload);
-    const util::Field2D reconstructed =
-        stride == 1 ? sampled
-                    : vis::resample(sampled, config.problem.nx,
-                                    config.problem.ny);
-    error_sum += vis::rms_difference(reconstructed, truths[truth_idx++]);
-    visualize_step(bed, vis_pipeline, reconstructed, out.base,
-                   options.keep_images, frame);
-  }
-  if (truth_idx > 0) {
-    out.mean_rms_error = error_sum / static_cast<double>(truth_idx);
-  }
-  return out;
-}
-
-CompressedOutput run_compressed_post_processing(
-    Testbed& bed, const CaseStudyConfig& config,
-    const io::CompressConfig& codec, const PipelineOptions& options) {
-  CompressedOutput out;
-  out.base.pipeline_name =
-      codec.mode == io::CompressionMode::kLossless
-          ? "Post-processing (lossless compression)"
-          : "Post-processing (lossy, eb=" + std::to_string(codec.error_bound) +
-                ")";
-  util::ThreadPool pool(options.host_threads);
-  heat::HeatSolver solver(config.problem, &pool);
-  vis::VisPipeline vis_pipeline(config.vis, &pool);
-  vis::Image frame;  // reused across visualize steps
-  io::TimestepWriter writer(bed.fs(), config.dataset);
-
-  // Modeled cost of the predictive codec per cell (compress and decompress
-  // are both a predictor + a quantize/unpack).
-  const double cells =
-      static_cast<double>(config.problem.nx * config.problem.ny);
-  machine::ActivityRecord codec_work;
-  codec_work.flops = cells * 60.0;
-  codec_work.active_cores = 1;
-  codec_work.dram_bytes = util::Bytes{static_cast<std::uint64_t>(cells * 16)};
-
-  std::vector<util::Field2D> truths;
-  double ratio_sum = 0.0;
-  for (int step = 0; step < config.iterations; ++step) {
-    simulate_step(bed, solver);
-    if (config.is_io_step(step)) {
-      const auto blob = io::compress_field(solver.temperature(), codec);
-      bed.run_compute(codec_work, stage::kSimulation);
-      ratio_sum += io::compression_ratio(solver.temperature(), blob);
-      out.bytes_written += util::Bytes{blob.size()};
-      bed.run_io(stage::kWrite, config.io_stage_cores,
-                 config.io_stage_utilization,
-                 [&] { writer.write_step(step, blob); });
-      truths.push_back(solver.temperature());
-    }
-  }
-  out.base.steps = config.iterations;
-  out.base.final_field = solver.temperature();
-  bed.run_io(stage::kWrite, config.io_stage_cores,
-             config.io_stage_utilization, [&] { bed.fs().drop_caches(); });
-
-  io::TimestepReader reader(bed.fs(), config.dataset);
-  std::size_t truth_idx = 0;
-  for (int step = 0; step < config.iterations; ++step) {
-    if (!config.is_io_step(step)) {
-      continue;
-    }
-    std::vector<std::uint8_t> blob;
-    bed.run_io(stage::kRead, config.io_stage_cores,
-               config.io_stage_utilization,
-               [&] { blob = reader.read_step(step); });
-    const util::Field2D field = io::decompress_field(blob);
-    bed.run_compute(codec_work, stage::kRead);
-    const util::Field2D& truth = truths[truth_idx++];
-    for (std::size_t k = 0; k < field.size(); ++k) {
-      out.max_abs_error =
-          std::max(out.max_abs_error,
-                   std::abs(field.values()[k] - truth.values()[k]));
-    }
-    visualize_step(bed, vis_pipeline, field, out.base, options.keep_images,
-                   frame);
-  }
-  if (truth_idx > 0) {
-    out.mean_compression_ratio = ratio_sum / static_cast<double>(truth_idx);
-  }
-  return out;
-}
-
-PipelineOutput run_in_situ(Testbed& bed, const CaseStudyConfig& config,
-                           const PipelineOptions& options) {
-  PipelineOutput out;
-  out.pipeline_name = "In-situ";
-  util::ThreadPool pool(options.host_threads);
-  heat::HeatSolver solver(config.problem, &pool);
-  vis::VisPipeline vis_pipeline(config.vis, &pool);
-  vis::Image frame;  // reused across visualize steps
-
-  for (int step = 0; step < config.iterations; ++step) {
-    simulate_step(bed, solver);
-    if (config.is_io_step(step)) {
-      visualize_step(bed, vis_pipeline, solver.temperature(), out,
-                     options.keep_images, frame);
-    }
-  }
-  out.steps = config.iterations;
-  out.final_field = solver.temperature();
   return out;
 }
 

@@ -1,18 +1,34 @@
-// The two visualization pipelines of Fig. 2, plus the in-transit variant.
+// The visualization pipelines of Fig. 2 as one timestep driver.
 //
-//   Post-processing:  [simulation -> disk write]*  sync/drop_caches
-//                     [disk read -> visualization]*
-//   Post-proc async:  [simulation -> stage]* || [staged write]*  (overlapped
-//                     via sched::AsyncStager), then the same read phase
-//   In-situ:          [simulation -> visualization]*     (no disk at all)
+// Every pipeline runs the same solver and the same renderer; they differ
+// only in where each output step's snapshot goes (the sink) and how it is
+// encoded on the way (the transform):
 //
-// All run the same solver and the same renderer, so for a given case study
-// they produce identical images (asserted via digests); only where the data
-// travels — and what overlaps with what — differs, which is precisely the
-// trade the paper prices.
+//   sink    | per output step                        | then
+//   --------+----------------------------------------+-----------------------
+//   none    | render the live field (in-situ)        | -
+//   sync    | encode, write, wait for the write      | drop_caches; read back,
+//   staged  | encode into the sched::AsyncStager     |   decode and render
+//           | ring; a writer thread drains it while  |   every written step
+//           | the solver advances                    |
+//
+//   transform | encode / decode                          | modeled codec cost
+//   ----------+------------------------------------------+-------------------
+//   codec     | codec::FieldCodec (config.snapshot_codec)| 12 flop/cell when
+//             |                                          | the codec is active
+//   sample    | keep every stride-th sample; bilinear    | none
+//             | resample on read (Woodring et al. [21])  |
+//   compress  | io::compress Lorenzo codec, lossless or  | 60 flop/cell, both
+//             | error-bounded (Wang et al. [22])         | ways
+//
+// For a given case study the sync and staged sinks write identical bytes and
+// every sink renders identical images (asserted via digests); only where the
+// data travels — and what overlaps with what — differs, which is precisely
+// the trade the paper prices.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,6 +48,21 @@ inline constexpr const char* kRead = "Read";
 inline constexpr const char* kVisualization = "Visualization";
 }  // namespace stage
 
+/// Where each output step's snapshot goes (see the file comment).
+enum class SnapshotSink { kNone, kSync, kStaged };
+
+/// How a snapshot is encoded for storage (see the file comment).
+enum class SnapshotTransform { kCodec, kSample, kCompress };
+
+struct PipelinePlan {
+  SnapshotSink sink{SnapshotSink::kSync};
+  SnapshotTransform transform{SnapshotTransform::kCodec};
+  /// kSample: keep every stride-th sample in each dimension (>= 1).
+  std::size_t stride{1};
+  /// kCompress: mode and error bound of the Lorenzo codec.
+  io::CompressConfig compress{};
+};
+
 struct PipelineOutput {
   std::string pipeline_name;
   /// One digest per visualized step, in step order.
@@ -40,12 +71,18 @@ struct PipelineOutput {
   util::Field2D final_field;
   int steps{0};
   int visualized_steps{0};
-  /// Snapshot payload accounting (post-processing only; zero for in-situ).
-  /// With the raw codec written == raw; with an active codec written < raw
-  /// and the storage counters shrink proportionally.
+  /// Snapshot payload accounting (zero for in-situ). With the raw codec
+  /// written == raw; with an active transform written < raw and the storage
+  /// counters shrink proportionally.
   util::Bytes snapshot_bytes_written{0};
   util::Bytes snapshot_bytes_read{0};
   util::Bytes snapshot_bytes_raw{0};
+  /// Reconstruction quality, set only by the transforms that lose data:
+  /// kSample the mean RMS error over read-back steps, kCompress the largest
+  /// per-value error and the mean compression ratio.
+  std::optional<double> mean_rms_error;
+  std::optional<double> max_abs_error;
+  std::optional<double> mean_compression_ratio;
   /// Kept only when `keep_images` was requested.
   std::vector<vis::Image> images;
 };
@@ -54,7 +91,7 @@ struct PipelineOptions {
   bool keep_images{false};
   /// Host threads for solver/renderer (0 = hardware concurrency).
   std::size_t host_threads{0};
-  /// Staging ring slots for run_post_processing_async (>= 1).
+  /// Staging ring slots for the staged sink (>= 1).
   std::size_t stage_buffers{2};
   /// Snapshots the staging writer claims per wake and submits to storage
   /// as one window (>= 1; capped by stage_buffers). 1 is the legacy
@@ -63,56 +100,19 @@ struct PipelineOptions {
   std::size_t stage_queue_depth{1};
 };
 
-/// Run the traditional pipeline on `bed`. The testbed's clock/timelines
+/// Modeled cost of one snapshot encode or decode of `cells` values: one
+/// streaming read plus one write of the field, and a handful of ops per cell
+/// (quantize + delta + pack for kCodec; predictor + quantize for kCompress).
+[[nodiscard]] machine::ActivityRecord snapshot_codec_activity(
+    std::size_t cells,
+    SnapshotTransform transform = SnapshotTransform::kCodec);
+
+/// Run `plan` on `bed`: simulate config.iterations steps and send every
+/// io_period-th step to the plan's sink. The testbed's clock and timelines
 /// advance; call bed.profile() afterwards for the power trace.
-[[nodiscard]] PipelineOutput run_post_processing(
-    Testbed& bed, const CaseStudyConfig& config,
-    const PipelineOptions& options = {});
-
-/// Run the traditional pipeline with in-transit staging: snapshots land in
-/// a bounded ring (`options.stage_buffers`) and a background writer drains
-/// them to disk while the solver advances — simulate and write overlap in
-/// both host and virtual time (concurrent intervals on the timelines, not
-/// summed serial phases). On-disk bytes, images, and snapshot accounting
-/// are identical to run_post_processing; only where the time goes differs.
-[[nodiscard]] PipelineOutput run_post_processing_async(
-    Testbed& bed, const CaseStudyConfig& config,
-    const PipelineOptions& options = {});
-
-/// Run the in-situ pipeline (never touches the filesystem).
-[[nodiscard]] PipelineOutput run_in_situ(Testbed& bed,
-                                         const CaseStudyConfig& config,
-                                         const PipelineOptions& options = {});
-
-/// In-situ data sampling (Woodring et al. [21]): the simulation writes only
-/// every `stride`-th sample in each dimension; post-hoc visualization
-/// reconstructs by bilinear resampling. Cuts I/O volume by ~stride^2 at a
-/// quantifiable quality cost.
-struct SampledOutput {
-  PipelineOutput base;
-  /// Mean RMS reconstruction error across visualized steps (0 for stride 1).
-  double mean_rms_error{0.0};
-  /// Payload bytes written to storage.
-  util::Bytes bytes_written{0};
-};
-
-[[nodiscard]] SampledOutput run_sampled_post_processing(
-    Testbed& bed, const CaseStudyConfig& config, std::size_t stride,
-    const PipelineOptions& options = {});
-
-/// Application-driven compression (Wang et al. [22]): each written step is
-/// compressed in situ (Lorenzo-predictive codec, lossless or bounded-error)
-/// and decompressed before post-hoc rendering.
-struct CompressedOutput {
-  PipelineOutput base;
-  double mean_compression_ratio{0.0};
-  /// Largest per-value reconstruction error observed (0 when lossless).
-  double max_abs_error{0.0};
-  util::Bytes bytes_written{0};
-};
-
-[[nodiscard]] CompressedOutput run_compressed_post_processing(
-    Testbed& bed, const CaseStudyConfig& config,
-    const io::CompressConfig& codec, const PipelineOptions& options = {});
+[[nodiscard]] PipelineOutput run_pipeline(Testbed& bed,
+                                          const CaseStudyConfig& config,
+                                          const PipelinePlan& plan,
+                                          const PipelineOptions& options = {});
 
 }  // namespace greenvis::core

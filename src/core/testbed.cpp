@@ -3,98 +3,13 @@
 #include <cmath>
 
 #include "src/obs/tracer.hpp"
-#include "src/storage/hdd.hpp"
-#include "src/storage/nvme.hpp"
-#include "src/storage/raid.hpp"
-#include "src/storage/solid_state.hpp"
 #include "src/util/error.hpp"
 
 namespace greenvis::core {
 
-const char* storage_device_name(StorageDeviceKind kind) {
-  switch (kind) {
-    case StorageDeviceKind::kHdd:
-      return "hdd";
-    case StorageDeviceKind::kSsd:
-      return "ssd";
-    case StorageDeviceKind::kNvram:
-      return "nvram";
-    case StorageDeviceKind::kNvme:
-      return "nvme";
-    case StorageDeviceKind::kRaid0:
-      return "raid0";
-  }
-  return "?";
-}
-
-std::optional<StorageDeviceKind> parse_storage_device(std::string_view name) {
-  for (StorageDeviceKind kind :
-       {StorageDeviceKind::kHdd, StorageDeviceKind::kSsd,
-        StorageDeviceKind::kNvram, StorageDeviceKind::kNvme,
-        StorageDeviceKind::kRaid0}) {
-    if (name == storage_device_name(kind)) {
-      return kind;
-    }
-  }
-  return std::nullopt;
-}
-
-namespace {
-
-std::unique_ptr<storage::BlockDevice> make_device(
-    const TestbedConfig& config) {
-  switch (config.device) {
-    case StorageDeviceKind::kSsd:
-      return std::make_unique<storage::SolidStateModel>(
-          storage::sata_ssd_params());
-    case StorageDeviceKind::kNvram:
-      return std::make_unique<storage::SolidStateModel>(
-          storage::nvram_params());
-    case StorageDeviceKind::kNvme:
-      return std::make_unique<storage::NvmeModel>(
-          storage::nvme_default_params());
-    case StorageDeviceKind::kRaid0: {
-      // Four striped copies of the testbed's spinning disk.
-      std::vector<std::unique_ptr<storage::BlockDevice>> children;
-      for (int i = 0; i < 4; ++i) {
-        storage::HddParams child;
-        child.spec = config.node.disk;
-        children.push_back(std::make_unique<storage::HddModel>(child));
-      }
-      return std::make_unique<storage::Raid0Model>(std::move(children));
-    }
-    case StorageDeviceKind::kHdd:
-      break;
-  }
-  storage::HddParams hdd;
-  hdd.spec = config.node.disk;
-  return std::make_unique<storage::HddModel>(hdd);
-}
-
-power::DiskPowerParams disk_power_params_for(StorageDeviceKind kind) {
-  switch (kind) {
-    case StorageDeviceKind::kSsd:
-      return power::ssd_power_params();
-    case StorageDeviceKind::kNvram:
-      return power::nvram_power_params();
-    case StorageDeviceKind::kNvme:
-      return power::nvme_power_params();
-    case StorageDeviceKind::kRaid0:
-      // Dedicated array rail: all four spindles idle plus the controller,
-      // with per-spindle actives (the volume's merged activity log already
-      // carries every child's busy time).
-      return power::raid0_power_params();
-    case StorageDeviceKind::kHdd:
-      break;
-  }
-  return power::hdd_power_params();
-}
-
-}  // namespace
-
 Testbed::Testbed(const TestbedConfig& config)
     : config_(config), cost_(config.node, config.cost) {
-  device_ = make_device(config_);
+  device_ = storage::make_device(config_.device, config_.node.disk);
   fs_ = std::make_unique<storage::Filesystem>(*device_, clock_, config_.fs);
 }
 
@@ -141,21 +56,7 @@ util::Seconds Testbed::run_compute_at(util::Seconds start,
 
 void Testbed::run_io(const std::string& phase, double cores,
                      double utilization, const std::function<void()>& body) {
-  GREENVIS_REQUIRE(cores >= 0.0 && utilization > 0.0 && utilization <= 1.0);
-  // Host wall-clock span around the real storage-model work; the virtual
-  // interval is recorded separately below.
-  obs::ScopedSpan span("stage.io:", phase, obs::kCatIo);
-  const util::Seconds t0 = clock_.now();
-  body();
-  const util::Seconds t1 = clock_.now();
-  if (t1 > t0) {
-    machine::ComponentLoad load;
-    load.active_cores = cores;
-    load.core_utilization = utilization;
-    load.frequency_ghz = config_.effective_io_ghz();
-    loads_.add(t0, t1, load);
-    phases_.record(phase, t0, t1);
-  }
+  (void)run_io_at(clock_.now(), phase, cores, utilization, body);
 }
 
 util::Seconds Testbed::run_io_at(util::Seconds start, const std::string& phase,
@@ -164,6 +65,8 @@ util::Seconds Testbed::run_io_at(util::Seconds start, const std::string& phase,
                                  machine::LoadTimeline* loads,
                                  trace::Timeline* phases) {
   GREENVIS_REQUIRE(cores >= 0.0 && utilization > 0.0 && utilization <= 1.0);
+  // Host wall-clock span around the real storage-model work; the virtual
+  // interval is recorded separately below.
   obs::ScopedSpan span("stage.io:", phase, obs::kCatIo);
   if (start > clock_.now()) {
     clock_.advance_to(start);
@@ -171,14 +74,9 @@ util::Seconds Testbed::run_io_at(util::Seconds start, const std::string& phase,
   const util::Seconds t0 = clock_.now();
   body();
   const util::Seconds t1 = clock_.now();
-  if (t1 > t0) {
-    machine::ComponentLoad load;
-    load.active_cores = cores;
-    load.core_utilization = utilization;
-    load.frequency_ghz = config_.effective_io_ghz();
-    (loads != nullptr ? *loads : loads_).add(t0, t1, load);
-    (phases != nullptr ? *phases : phases_).record(phase, t0, t1);
-  }
+  record_io(phase, t0, t1, cores, utilization,
+            loads != nullptr ? *loads : loads_,
+            phases != nullptr ? *phases : phases_);
   return t1;
 }
 
@@ -186,6 +84,13 @@ void Testbed::record_stall(const std::string& phase, util::Seconds begin,
                            util::Seconds end, double cores,
                            double utilization) {
   GREENVIS_REQUIRE(cores >= 0.0 && utilization > 0.0 && utilization <= 1.0);
+  record_io(phase, begin, end, cores, utilization, loads_, phases_);
+}
+
+void Testbed::record_io(const std::string& phase, util::Seconds begin,
+                        util::Seconds end, double cores, double utilization,
+                        machine::LoadTimeline& loads,
+                        trace::Timeline& phases) const {
   if (end <= begin) {
     return;
   }
@@ -193,15 +98,15 @@ void Testbed::record_stall(const std::string& phase, util::Seconds begin,
   load.active_cores = cores;
   load.core_utilization = utilization;
   load.frequency_ghz = config_.effective_io_ghz();
-  loads_.add(begin, end, load);
-  phases_.record(phase, begin, end);
+  loads.add(begin, end, load);
+  phases.record(phase, begin, end);
 }
 
 void Testbed::idle(util::Seconds duration) { clock_.advance(duration); }
 
 power::PowerModel Testbed::power_model() const {
   return power::PowerModel(config_.calibration,
-                           disk_power_params_for(config_.device));
+                           power::disk_power_params(config_.device));
 }
 
 power::PowerTrace Testbed::profile() const {

@@ -15,9 +15,7 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 
 #include "src/machine/cost_model.hpp"
 #include "src/machine/load.hpp"
@@ -30,18 +28,6 @@
 #include "src/trace/timeline.hpp"
 
 namespace greenvis::core {
-
-/// Which storage model backs the testbed's filesystem. The paper's node has
-/// the 7200 rpm HDD; the SSD/NVRAM substitutions are its future-work
-/// "flash-based devices" direction, and the campaign engine sweeps them as
-/// a first-class axis. NVMe (multi-queue flash) and RAID0 (four striped
-/// copies of the testbed HDD) ride the async block-device layer.
-enum class StorageDeviceKind { kHdd, kSsd, kNvram, kNvme, kRaid0 };
-
-[[nodiscard]] const char* storage_device_name(StorageDeviceKind kind);
-/// Inverse of storage_device_name; nullopt for unknown names.
-[[nodiscard]] std::optional<StorageDeviceKind> parse_storage_device(
-    std::string_view name);
 
 struct TestbedConfig {
   machine::NodeSpec node{machine::sandy_bridge_testbed()};
@@ -57,8 +43,9 @@ struct TestbedConfig {
   /// 0 means "same as frequency_ghz".
   double io_frequency_ghz{0.0};
   /// Storage device under the filesystem (HDD by default — Table I's
-  /// drive; every seed figure is unchanged unless this is varied).
-  StorageDeviceKind device{StorageDeviceKind::kHdd};
+  /// drive; every seed figure is unchanged unless this is varied). The
+  /// campaign engine sweeps it as a first-class axis.
+  storage::DeviceKind device{storage::DeviceKind::kHdd};
   /// RAPL package power limit (both sockets together). When > 0, compute
   /// stages are throttled to the fastest P-state whose package power fits
   /// under the cap — the enforcement mechanism RAPL's power-limiting half
@@ -136,6 +123,12 @@ class Testbed {
   [[nodiscard]] power::PowerModel power_model() const;
 
  private:
+  /// Record [begin, end) as `phase` with a light I/O-region CPU load
+  /// (`cores` x `utilization` at the I/O clock); no-op when empty.
+  void record_io(const std::string& phase, util::Seconds begin,
+                 util::Seconds end, double cores, double utilization,
+                 machine::LoadTimeline& loads, trace::Timeline& phases) const;
+
   TestbedConfig config_;
   trace::VirtualClock clock_;
   std::unique_ptr<storage::BlockDevice> device_;

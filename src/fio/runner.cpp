@@ -5,9 +5,8 @@
 #include <vector>
 
 #include "src/obs/tracer.hpp"
+#include "src/storage/async_device.hpp"
 #include "src/storage/filesystem.hpp"
-#include "src/storage/hdd.hpp"
-#include "src/storage/solid_state.hpp"
 #include "src/trace/clock.hpp"
 #include "src/util/error.hpp"
 #include "src/util/rng.hpp"
@@ -52,41 +51,6 @@ FioJob table3_job(RwMode mode) {
 
 FioRunner::FioRunner(const FioRunnerConfig& config) : config_(config) {}
 
-namespace {
-
-std::unique_ptr<storage::BlockDevice> make_device(
-    const FioRunnerConfig& config) {
-  switch (config.device) {
-    case DeviceKind::kHdd: {
-      storage::HddParams p;
-      p.spec = config.node.disk;
-      return std::make_unique<storage::HddModel>(p);
-    }
-    case DeviceKind::kSsd:
-      return std::make_unique<storage::SolidStateModel>(
-          storage::sata_ssd_params());
-    case DeviceKind::kNvram:
-      return std::make_unique<storage::SolidStateModel>(
-          storage::nvram_params());
-  }
-  GREENVIS_REQUIRE(false);
-  return nullptr;
-}
-
-power::DiskPowerParams disk_power_for(DeviceKind kind) {
-  switch (kind) {
-    case DeviceKind::kHdd:
-      return power::hdd_power_params();
-    case DeviceKind::kSsd:
-      return power::ssd_power_params();
-    case DeviceKind::kNvram:
-      return power::nvram_power_params();
-  }
-  return power::hdd_power_params();
-}
-
-}  // namespace
-
 FioRunOutput FioRunner::run(const FioJob& job) const {
   GREENVIS_REQUIRE(job.total_size.value() > 0);
   GREENVIS_REQUIRE(job.block_size.value() > 0);
@@ -101,7 +65,7 @@ FioRunOutput FioRunner::run(const FioJob& job) const {
   }
 
   trace::VirtualClock clock;
-  auto device = make_device(config_);
+  auto device = storage::make_device(config_.device, config_.node.disk);
   storage::FsParams fs_params;
   fs_params.allocation = storage::AllocationPolicy::kAged;
   storage::Filesystem fs(*device, clock, fs_params);
@@ -136,6 +100,7 @@ FioRunOutput FioRunner::run(const FioJob& job) const {
 
   machine::LoadTimeline loads;
   machine::ComponentLoad cpu;
+  cpu.active_cores = 1.0;
   cpu.frequency_ghz = config_.node.cpu.nominal_ghz;
 
   switch (job.mode) {
@@ -146,7 +111,6 @@ FioRunOutput FioRunner::run(const FioJob& job) const {
         clock.advance(memcpy_time);  // copy_to_user of the block
       }
       fs.close(fd);
-      cpu.active_cores = 1.0;
       cpu.core_utilization = 0.35;
       loads.add(t0, clock.now(), cpu);
       break;
@@ -158,7 +122,6 @@ FioRunOutput FioRunner::run(const FioJob& job) const {
         fs.pread_timed(fd, slot * bs, bs, storage::ReadMode::kDirect);
       }
       fs.close(fd);
-      cpu.active_cores = 1.0;
       cpu.core_utilization = 0.12;
       loads.add(t0, clock.now(), cpu);
       break;
@@ -173,7 +136,6 @@ FioRunOutput FioRunner::run(const FioJob& job) const {
         fs.fsync(fd);
       }
       fs.close(fd);
-      cpu.active_cores = 1.0;
       cpu.core_utilization = 0.45;
       loads.add(t0, clock.now(), cpu);
       break;
@@ -199,16 +161,16 @@ FioRunOutput FioRunner::run(const FioJob& job) const {
       const auto extents = fs.extents(kData);
       GREENVIS_REQUIRE(!extents.empty());
       const std::uint64_t dev_base = extents.front().device_offset;
+      storage::AsyncBlockDevice queue(*device);
       util::Seconds t_dev = t0;
       for (std::uint64_t slot : unique) {
         const storage::IoRequest req{storage::IoKind::kWrite,
                                      dev_base + slot * bs,
                                      static_cast<std::uint32_t>(bs)};
-        t_dev = device->service(req, t_dev);
+        t_dev = queue.execute(req, t_dev);
       }
-      t_dev = device->flush(t_dev);
+      t_dev = queue.flush(t_dev);
       clock.advance_to(std::max(submit_end, t_dev));
-      cpu.active_cores = 1.0;
       cpu.core_utilization = 1.0;
       loads.add(t0, submit_end, cpu);
       break;
@@ -219,7 +181,7 @@ FioRunOutput FioRunner::run(const FioJob& job) const {
 
   // -- measurement --
   const power::PowerModel model(config_.calibration,
-                                disk_power_for(config_.device));
+                                power::disk_power_params(config_.device));
   power::PowerProfiler profiler(model,
                                 power::ProfilerConfig{.seed = job.seed});
   const power::PowerTrace full =

@@ -18,11 +18,9 @@
 
 namespace greenvis::fio {
 
-enum class DeviceKind { kHdd, kSsd, kNvram };
-
 struct FioRunnerConfig {
   machine::NodeSpec node{machine::sandy_bridge_testbed()};
-  DeviceKind device{DeviceKind::kHdd};
+  storage::DeviceKind device{storage::DeviceKind::kHdd};
   power::PowerCalibration calibration{};
   /// Host-memory copy rate for buffered I/O (per-syscall memcpy).
   util::BytesPerSecond memcpy_rate{util::mebibytes_per_second(8.0 * 1024.0)};

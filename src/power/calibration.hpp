@@ -28,6 +28,7 @@
 // DVFS: core dynamic power scales (f/f_nom)^3 (see machine/dvfs.hpp).
 #pragma once
 
+#include "src/storage/block_device.hpp"
 #include "src/util/units.hpp"
 
 namespace greenvis::power {
@@ -93,6 +94,23 @@ struct DiskPowerParams {
                          hdd.read_transfer,
                          hdd.write_transfer,
                          hdd.flush};
+}
+/// The rail parameters of a storage::make_device model.
+[[nodiscard]] inline DiskPowerParams disk_power_params(
+    storage::DeviceKind kind) {
+  switch (kind) {
+    case storage::DeviceKind::kSsd:
+      return ssd_power_params();
+    case storage::DeviceKind::kNvram:
+      return nvram_power_params();
+    case storage::DeviceKind::kNvme:
+      return nvme_power_params();
+    case storage::DeviceKind::kRaid0:
+      return raid0_power_params();
+    case storage::DeviceKind::kHdd:
+      break;
+  }
+  return hdd_power_params();
 }
 
 struct RestOfSystemParams {

@@ -265,10 +265,11 @@ void register_pipeline_properties() {
           core::PipelineOptions options;
           options.host_threads = 2;
           options.stage_buffers = buffers;
-          core::PipelineOutput out =
-              async_mode
-                  ? core::run_post_processing_async(bed, config, options)
-                  : core::run_post_processing(bed, config, options);
+          core::PipelineOutput out = core::run_pipeline(
+              bed, config,
+              {.sink = async_mode ? core::SnapshotSink::kStaged
+                                  : core::SnapshotSink::kSync},
+              options);
           std::vector<std::uint64_t> sums;
           io::TimestepReader reader(bed.fs(), config.dataset);
           for (int step = 0; step < config.iterations; ++step) {
@@ -435,14 +436,14 @@ void register_energy_properties() {
   struct EnergyCase {
     core::CaseStudyConfig config;
     core::PipelineKind kind{core::PipelineKind::kPostProcessing};
-    core::StorageDeviceKind device{core::StorageDeviceKind::kHdd};
+    storage::DeviceKind device{storage::DeviceKind::kHdd};
     std::uint64_t buffers{1};
   };
   const Gen<EnergyCase> gen = [](Choices& c) {
     EnergyCase ec;
     ec.config = small_case_config()(c);
     ec.kind = static_cast<core::PipelineKind>(c.draw_below(3));
-    ec.device = static_cast<core::StorageDeviceKind>(c.draw_below(3));
+    ec.device = static_cast<storage::DeviceKind>(c.draw_below(3));
     ec.buffers = 1 + c.draw_below(4);
     return ec;
   };
@@ -491,7 +492,7 @@ void register_energy_properties() {
       [](const EnergyCase& ec) {
         std::ostringstream os;
         os << "kind=" << static_cast<int>(ec.kind)
-           << " device=" << core::storage_device_name(ec.device)
+           << " device=" << storage::device_name(ec.device)
            << " iters=" << ec.config.iterations
            << " period=" << ec.config.io_period
            << " grid=" << ec.config.problem.nx << " buffers=" << ec.buffers;

@@ -13,10 +13,13 @@
 // device-preferred behavior without reaching into concrete classes.
 #pragma once
 
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 
+#include "src/machine/spec.hpp"
 #include "src/storage/activity_log.hpp"
 #include "src/storage/request.hpp"
 #include "src/util/units.hpp"
@@ -85,5 +88,19 @@ class BlockDevice {
   [[nodiscard]] virtual const DiskActivityLog& activity() const = 0;
   [[nodiscard]] virtual const DeviceCounters& counters() const = 0;
 };
+
+/// The device models a node can mount. The paper's node has the 7200 rpm
+/// HDD; the SSD/NVRAM substitutions are its future-work "flash-based
+/// devices" direction. NVMe (multi-queue flash) and RAID0 (four striped
+/// copies of the HDD) ride the async block-device layer.
+enum class DeviceKind { kHdd, kSsd, kNvram, kNvme, kRaid0 };
+
+[[nodiscard]] const char* device_name(DeviceKind kind);
+/// Inverse of device_name; nullopt for unknown names.
+[[nodiscard]] std::optional<DeviceKind> parse_device(std::string_view name);
+
+/// A fresh device of `kind`; the HDD and every RAID0 spindle use `disk`.
+[[nodiscard]] std::unique_ptr<BlockDevice> make_device(
+    DeviceKind kind, const machine::DiskSpec& disk);
 
 }  // namespace greenvis::storage

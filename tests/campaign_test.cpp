@@ -50,9 +50,9 @@ TEST(Hash, FieldAssignmentOrderIsIrrelevant) {
   CampaignConfig a;
   a.grid = 64;
   a.io_period = 4;
-  a.device = core::StorageDeviceKind::kSsd;
+  a.device = storage::DeviceKind::kSsd;
   CampaignConfig b;
-  b.device = core::StorageDeviceKind::kSsd;
+  b.device = storage::DeviceKind::kSsd;
   b.io_period = 4;
   b.grid = 64;
   EXPECT_EQ(config_key(a), config_key(b));
@@ -113,10 +113,10 @@ TEST(Hash, EveryResultsChangingKnobChangesTheKey) {
   c.chunk_edge = 16;
   insert_unique(c);
   c = base;
-  c.device = core::StorageDeviceKind::kSsd;
+  c.device = storage::DeviceKind::kSsd;
   insert_unique(c);
   c = base;
-  c.device = core::StorageDeviceKind::kNvram;
+  c.device = storage::DeviceKind::kNvram;
   insert_unique(c);
   c = base;
   c.frequency_ghz = 1.6;
@@ -141,7 +141,7 @@ TEST(Hash, GoldenKeysAreStable) {
   EXPECT_EQ(config_key(CampaignConfig{}), "900b61b268b30ffc");
   CampaignConfig c = tiny_config();
   c.kind = core::PipelineKind::kInSitu;
-  c.device = core::StorageDeviceKind::kNvram;
+  c.device = storage::DeviceKind::kNvram;
   c.frequency_ghz = 1.6;
   EXPECT_EQ(config_key(c), "4068dadbb521c923");
   EXPECT_EQ(key_from_hash(0), "0000000000000000");
@@ -387,7 +387,7 @@ TEST(Engine, ShardCountDoesNotChangeResults) {
 TEST(Engine, DeviceKnobChangesPostProcessingResults) {
   CampaignConfig hdd = tiny_config();
   CampaignConfig ssd = tiny_config();
-  ssd.device = core::StorageDeviceKind::kSsd;
+  ssd.device = storage::DeviceKind::kSsd;
   ResultCache cache;
   const CampaignReport report = CampaignEngine(cache).run({hdd, ssd});
   ASSERT_EQ(report.executed, 2u);
@@ -401,12 +401,12 @@ TEST(Engine, DeviceAxisSweepProducesOneDistinctRowPerDevice) {
   // The --devices= axis end to end: every requested backend yields a row,
   // the science is device-invariant, and the timings actually differ.
   CampaignSpec spec;
-  spec.devices = {core::StorageDeviceKind::kHdd, core::StorageDeviceKind::kSsd,
-                  core::StorageDeviceKind::kNvme,
-                  core::StorageDeviceKind::kRaid0};
+  spec.devices = {storage::DeviceKind::kHdd, storage::DeviceKind::kSsd,
+                  storage::DeviceKind::kNvme,
+                  storage::DeviceKind::kRaid0};
   std::vector<CampaignConfig> configs = spec.expand();
   ASSERT_EQ(configs.size(), 4u);
-  std::set<core::StorageDeviceKind> kinds;
+  std::set<storage::DeviceKind> kinds;
   for (CampaignConfig& c : configs) {
     const CampaignConfig t = tiny_config();
     // Big enough that one field snapshot (grid^2 doubles = 512 KiB) spans
@@ -431,7 +431,7 @@ TEST(Engine, DeviceAxisSweepProducesOneDistinctRowPerDevice) {
     EXPECT_EQ(report.results[i].field_digest, report.results[0].field_digest);
     EXPECT_GT(report.results[i].duration_s, 0.0);
     durations.insert(report.results[i].duration_s);
-    rows << core::storage_device_name(configs[i].device) << "="
+    rows << storage::device_name(configs[i].device) << "="
          << report.results[i].duration_s << " ";
   }
   // hdd / ssd / nvme / raid0 model genuinely different hardware; no two

@@ -97,7 +97,7 @@ TEST(FioRunner, DeterministicAcrossRuns) {
 TEST(FioRunner, SsdCollapsesRandomPenalty) {
   FioRunnerConfig hdd_config;
   FioRunnerConfig ssd_config;
-  ssd_config.device = DeviceKind::kSsd;
+  ssd_config.device = storage::DeviceKind::kSsd;
   const FioRunner hdd_runner(hdd_config), ssd_runner(ssd_config);
   const auto hdd_rnd = hdd_runner.run(small_job(RwMode::kRandomRead));
   const auto ssd_rnd = ssd_runner.run(small_job(RwMode::kRandomRead));
@@ -107,13 +107,25 @@ TEST(FioRunner, SsdCollapsesRandomPenalty) {
 
 TEST(FioRunner, NvramFasterThanSsd) {
   FioRunnerConfig ssd_config;
-  ssd_config.device = DeviceKind::kSsd;
+  ssd_config.device = storage::DeviceKind::kSsd;
   FioRunnerConfig nv_config;
-  nv_config.device = DeviceKind::kNvram;
+  nv_config.device = storage::DeviceKind::kNvram;
   const auto ssd = FioRunner(ssd_config).run(small_job(RwMode::kRandomRead));
   const auto nv = FioRunner(nv_config).run(small_job(RwMode::kRandomRead));
   EXPECT_LT(nv.result.execution_time.value(),
             ssd.result.execution_time.value());
+}
+
+TEST(FioRunner, NvmeIsItsOwnDeviceNotTheHdd) {
+  FioRunnerConfig nvme_config;
+  nvme_config.device = storage::DeviceKind::kNvme;
+  const auto hdd = FioRunner().run(small_job(RwMode::kSequentialWrite));
+  const auto nvme =
+      FioRunner(nvme_config).run(small_job(RwMode::kSequentialWrite));
+  EXPECT_LT(nvme.result.execution_time.value(),
+            hdd.result.execution_time.value());
+  EXPECT_NE(nvme.result.disk_dynamic_power.value(),
+            hdd.result.disk_dynamic_power.value());
 }
 
 TEST(FioRunner, RejectsMisalignedJob) {
