@@ -3,9 +3,9 @@
 // The attributor (src/obs/energy.hpp) produces a conservation-checked
 // per-stage rail breakdown; this layer ranks it, formats the "where do the
 // joules go" table, and serializes the deterministic ENERGY_profile.json
-// artifact the --energy-smoke gate diffs against a committed golden. Every
-// number is virtual-clock derived, so the file is byte-identical across
-// hosts, thread counts, and reruns.
+// artifact the cli_energy_golden ctest case diffs against a committed
+// golden. Every number is virtual-clock derived, so the file is
+// byte-identical across hosts, thread counts, and reruns.
 #pragma once
 
 #include <cstddef>

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <numbers>
-#include <string_view>
 
 #include "src/obs/tracer.hpp"
 #include "src/util/error.hpp"
@@ -116,13 +114,8 @@ double HeatSolver::step() {
 
   constexpr std::size_t kMaxFuse = 12;
   constexpr std::size_t kRingRows = 4;  // power of two >= 3 live rows
-  // GREENVIS_FUSE=0 forces the sweep-at-a-time loop (differential testing).
-  static const bool fuse_wanted = [] {
-    const char* env = std::getenv("GREENVIS_FUSE");
-    return env == nullptr || std::string_view(env) != "0";
-  }();
-  const bool fused = fuse_wanted && !use_pool && !heterogeneous &&
-                     problem_.executed_sweeps >= 2;
+  const bool fused =
+      !use_pool && !heterogeneous && problem_.executed_sweeps >= 2;
   // With backward Euler (er == 0) the right-hand side is exactly u^n, so
   // the fused wavefront copies it row-by-row just ahead of the first sweep
   // level instead of in a separate full-field streaming pass.

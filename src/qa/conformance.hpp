@@ -17,8 +17,8 @@
 //   * Table II — the static (avoided-idle) share of the savings dominates
 //     (>= 85%, paper reports ~91%).
 //
-// `greenvis verify` and tools/check.sh --conformance evaluate the suite and
-// emit QA_conformance.json; tests/conformance_test.cpp runs it in ctest
+// `greenvis verify` (ctest case cli_verify_smoke) evaluates the suite and
+// emits QA_conformance.json; tests/conformance_test.cpp runs it in ctest
 // under the `conformance` label. Any optimization that silently changes
 // what the system computes (an over-eager codec tolerance, a broken cache
 // model, a solver that stopped doing the work) leaves its band.

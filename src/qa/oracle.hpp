@@ -5,14 +5,15 @@
 // serialization, the page cache vs direct I/O, observability on vs off. A
 // differential oracle runs the same workload through both and diffs the
 // structured results — the cheapest machine check that an optimization did
-// not silently change what the system computes. Oracles run in the default
-// ctest suite (tests/qa_test.cpp), under tools/check.sh --asan, and from
-// `greenvis verify`.
+// not silently change what the system computes. Each registered oracle is
+// its own ctest case (tests/qa_test.cpp) and also runs from `greenvis
+// verify`.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
+
+#include "src/qa/registry.hpp"
 
 namespace greenvis::qa {
 
@@ -23,27 +24,14 @@ struct OracleResult {
   std::string detail;
 };
 
-class OracleRegistry {
- public:
-  using Fn = std::function<OracleResult()>;
+using OracleRegistry = Registry<OracleResult>;
 
-  [[nodiscard]] static OracleRegistry& global();
+/// Runs one registered oracle by name (throws ContractViolation when
+/// unknown). Exceptions escaping the oracle body become failures.
+[[nodiscard]] OracleResult run_oracle(const std::string& name);
 
-  /// Registers (or replaces) an oracle under `name`.
-  void add(const std::string& name, Fn fn);
-
-  [[nodiscard]] std::vector<std::string> names() const;
-
-  /// Runs one oracle by name (throws ContractViolation when unknown).
-  /// Exceptions escaping the oracle body are converted into failures.
-  [[nodiscard]] OracleResult run(const std::string& name) const;
-
-  /// Runs every registered oracle, in registration order.
-  [[nodiscard]] std::vector<OracleResult> run_all() const;
-
- private:
-  std::vector<std::pair<std::string, Fn>> entries_;
-};
+/// Runs every registered oracle, in registration order.
+[[nodiscard]] std::vector<OracleResult> run_all_oracles();
 
 /// Registers the built-in differential oracles (idempotent):
 /// solver/pipeline serial vs pool, codec raw vs delta, page cache vs

@@ -845,6 +845,29 @@ OracleResult serve_cached_vs_uncached() {
 
 }  // namespace
 
+OracleResult run_oracle(const std::string& name) {
+  const auto& registry = OracleRegistry::global();
+  if (!registry.contains(name)) {
+    throw util::ContractViolation("unknown qa oracle '" + name + "'");
+  }
+  try {
+    OracleResult result = registry.run(name);
+    result.name = name;
+    return result;
+  } catch (const std::exception& e) {
+    return OracleResult{name, false,
+                        std::string("unhandled exception: ") + e.what()};
+  }
+}
+
+std::vector<OracleResult> run_all_oracles() {
+  std::vector<OracleResult> out;
+  for (const std::string& name : OracleRegistry::global().names()) {
+    out.push_back(run_oracle(name));
+  }
+  return out;
+}
+
 void register_builtin_oracles() {
   auto& registry = OracleRegistry::global();
   registry.add("solver.serial_vs_pool", solver_serial_vs_pool);

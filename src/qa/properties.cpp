@@ -1029,4 +1029,12 @@ void register_builtin_properties() {
   register_serve_properties();
 }
 
+CheckResult replay_repro_file(const std::string& path) {
+  const Repro repro = load_repro(path);
+  Config config;
+  config.replay_file = path;
+  config.repro_dir.clear();
+  return PropertyRegistry::global().run(repro.property, config);
+}
+
 }  // namespace greenvis::qa

@@ -2,6 +2,8 @@
 // hold for whole families of inputs, not just the calibrated defaults.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
 
 #include "src/core/experiment.hpp"
@@ -27,39 +29,28 @@ namespace {
 // each run covers ~100 generated parameter combinations instead of five
 // hand-picked ones, and a failure shrinks to a minimal counterexample and
 // writes a reproducer file replayable via `greenvis verify --qa-repro=`.
+// One test per registered property, enumerated from the registry: a new
+// property is a new ctest case without a test edit.
 
-class QaRegistrySweep : public ::testing::TestWithParam<const char*> {};
+class Property : public ::testing::TestWithParam<std::string> {};
 
-TEST_P(QaRegistrySweep, HoldsForGeneratedInputs) {
-  qa::register_builtin_properties();
-  qa::Config config = qa::Config::from_env();
+TEST_P(Property, Holds) {
   const qa::CheckResult r =
-      qa::PropertyRegistry::global().run(GetParam(), config);
+      qa::PropertyRegistry::global().run(GetParam(), qa::Config::from_env());
   EXPECT_TRUE(r.passed) << r.summary();
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Builtins, QaRegistrySweep,
-    ::testing::Values("hdd.seq_throughput_block_invariant",
-                      "hdd.random_service_settle_bound",
-                      "compress.lossy_round_trip",
-                      "codec.container_round_trip",
-                      "replay.trace_flip_robust",
-                      "pipeline.async_matches_sync",
-                      "campaign.replay_identical",
-                      "energy.conservation",
-                      "simd.stencil_rows_match_scalar",
-                      "simd.codec_kernels_match_scalar",
-                      "simd.trilinear_match_scalar",
-                      "storage.scheduler_invariants",
-                      "serve.schedule_invariants"),
-    [](const ::testing::TestParamInfo<const char*>& param_info) {
-      std::string name = param_info.param;
-      for (char& c : name) {
-        if (c == '.' || c == '-') {
-          c = '_';
-        }
-      }
+    Builtin, Property, ::testing::ValuesIn([] {
+      qa::register_builtin_properties();
+      return qa::PropertyRegistry::global().names();
+    }()),
+    [](const ::testing::TestParamInfo<std::string>& param) {
+      std::string name = param.param;
+      std::replace_if(
+          name.begin(), name.end(),
+          [](char c) { return std::isalnum(static_cast<unsigned char>(c)) == 0; },
+          '_');
       return name;
     });
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -278,17 +280,16 @@ TEST(Repro, ReplayRejectsWrongProperty) {
 
 // ---------- registry ----------
 
-TEST(Registry, BuiltinsRegisteredAndRunnable) {
-  register_builtin_properties();
-  auto& registry = PropertyRegistry::global();
-  for (const char* name :
-       {"hdd.seq_throughput_block_invariant", "hdd.random_service_settle_bound",
-        "compress.lossy_round_trip", "codec.container_round_trip",
-        "replay.trace_flip_robust", "storage.scheduler_invariants"}) {
-    EXPECT_TRUE(registry.contains(name)) << name;
-  }
-  EXPECT_THROW((void)registry.run("no.such.property", Config{}),
-               util::ContractViolation);
+TEST(Registry, AddReplacesAndUnknownNameThrows) {
+  Registry<int> registry;
+  registry.add("a", [] { return 1; });
+  registry.add("b", [] { return 2; });
+  registry.add("a", [] { return 3; });
+  EXPECT_EQ(registry.names(), (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(registry.contains("b"));
+  EXPECT_FALSE(registry.contains("c"));
+  EXPECT_EQ(registry.run("a"), 3);
+  EXPECT_THROW((void)registry.run("c"), util::ContractViolation);
 }
 
 TEST(Registry, ReplayReproFileDispatchesByName) {
@@ -315,58 +316,60 @@ TEST(Registry, ReplayReproFileDispatchesByName) {
 }
 
 // ---------- differential oracles ----------
+//
+// One test per registered oracle, enumerated from the registry: a new
+// oracle is a new ctest case without a test edit.
 
-class Oracles : public ::testing::Test {
- protected:
-  void SetUp() override { register_builtin_oracles(); }
+class Oracle : public ::testing::TestWithParam<std::string> {};
 
-  void expect_ok(const std::string& name) {
-    const OracleResult r = OracleRegistry::global().run(name);
-    EXPECT_TRUE(r.ok) << name << ": " << r.detail;
-  }
-};
+TEST_P(Oracle, Holds) {
+  const OracleResult r = run_oracle(GetParam());
+  EXPECT_TRUE(r.ok) << GetParam() << ": " << r.detail;
+}
 
-TEST_F(Oracles, SolverSerialVsPool) { expect_ok("solver.serial_vs_pool"); }
-TEST_F(Oracles, PipelineSerialVsPool) { expect_ok("pipeline.serial_vs_pool"); }
-TEST_F(Oracles, PipelineSyncVsAsync) { expect_ok("pipeline.sync_vs_async"); }
-TEST_F(Oracles, BatchShardedVsSerial) { expect_ok("batch.sharded_vs_serial"); }
-TEST_F(Oracles, CodecRawVsDelta) { expect_ok("codec.raw_vs_delta"); }
-TEST_F(Oracles, CacheOnVsOff) {
-  // Run the oracle with obs on: the buffered leg must surface page-cache
-  // hit/miss traffic on the registry (the cold reads all miss; hits may or
-  // may not occur depending on readahead coverage, so only misses are
-  // required to advance).
+INSTANTIATE_TEST_SUITE_P(
+    Builtin, Oracle, ::testing::ValuesIn([] {
+      register_builtin_oracles();
+      return OracleRegistry::global().names();
+    }()),
+    [](const ::testing::TestParamInfo<std::string>& param) {
+      std::string name = param.param;
+      std::replace_if(
+          name.begin(), name.end(),
+          [](char c) { return std::isalnum(static_cast<unsigned char>(c)) == 0; },
+          '_');
+      return name;
+    });
+
+TEST(Oracles, CacheOnVsOffCountsPageCacheTraffic) {
+  // With obs on, the buffered leg must surface page-cache hit/miss traffic
+  // on the registry (the cold reads all miss; hits may or may not occur
+  // depending on readahead coverage, so only misses are required to
+  // advance).
+  register_builtin_oracles();
   auto& hits = obs::Registry::global().counter("storage.page_cache.hits");
   auto& misses = obs::Registry::global().counter("storage.page_cache.misses");
   const std::uint64_t hits0 = hits.value();
   const std::uint64_t misses0 = misses.value();
   obs::set_enabled(true);
-  expect_ok("storage.cache_on_vs_off");
+  const OracleResult r = run_oracle("storage.cache_on_vs_off");
   obs::set_enabled(false);
+  EXPECT_TRUE(r.ok) << r.detail;
   EXPECT_GT(misses.value(), misses0);
   EXPECT_GE(hits.value(), hits0);
 }
-TEST_F(Oracles, StorageAsyncVsSync) { expect_ok("storage.async_vs_sync"); }
-TEST_F(Oracles, ObsOnVsOff) { expect_ok("obs.on_vs_off"); }
-TEST_F(Oracles, LegacyVsChunkedDecode) {
-  expect_ok("codec.legacy_vs_chunked_decode");
-}
-TEST_F(Oracles, SimdScalarVsVector) { expect_ok("simd.scalar_vs_vector"); }
-TEST_F(Oracles, ServeCachedVsUncached) {
-  expect_ok("serve.cached_vs_uncached");
+
+TEST(Oracles, UnknownNameThrows) {
+  EXPECT_THROW((void)run_oracle("no.such.oracle"), util::ContractViolation);
 }
 
-TEST_F(Oracles, UnknownNameThrows) {
-  EXPECT_THROW((void)OracleRegistry::global().run("no.such.oracle"),
-               util::ContractViolation);
-}
-
-TEST_F(Oracles, ThrowingOracleBecomesFailure) {
+TEST(Oracles, ThrowingOracleBecomesFailure) {
   OracleRegistry::global().add("qa.throws", []() -> OracleResult {
     throw util::ContractViolation("boom");
   });
-  const OracleResult r = OracleRegistry::global().run("qa.throws");
+  const OracleResult r = run_oracle("qa.throws");
   EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.name, "qa.throws");
   EXPECT_NE(r.detail.find("boom"), std::string::npos);
 }
 

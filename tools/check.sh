@@ -2,9 +2,12 @@
 # CI-style gate: configure + build, run the full test suite, and (when
 # clang-format is available) verify formatting of everything under src/.
 #
-# Usage: tools/check.sh [--asan] [--bench-smoke] [--campaign-smoke]
-#                       [--conformance] [--energy-smoke] [--serve-smoke]
-#                       [--simd] [--storage-smoke] [build-dir]
+# Every correctness check — unit tests, the qa oracles and properties (one
+# ctest case each), the paper-conformance run, the ENERGY/SERVE golden
+# profiles and the campaign resume — is a ctest case, so the modes below
+# only change how that one suite is built or run.
+#
+# Usage: tools/check.sh [--asan] [--bench-smoke] [--simd] [build-dir]
 #   --asan        build with AddressSanitizer + UndefinedBehaviorSanitizer
 #                 (RelWithDebInfo, default build dir: build-asan) and run the
 #                 full suite under them — including the obs/pool concurrency
@@ -15,33 +18,6 @@
 #   --bench-smoke after the suite, run the ~5 s perf-harness subset and fail
 #                 on a >10% regression vs the committed BENCH_perf.json
 #                 (heat2d_512 serial MCUPS and codec MB/s).
-#   --campaign-smoke after the suite, exercise the campaign engine end to
-#                 end: run a small sweep truncated by --limit (expects the
-#                 "interrupted" exit code 3), resume it from the journal, and
-#                 require the resumed JSON to be byte-identical to an
-#                 uninterrupted reference run.
-#   --conformance after the suite, run `greenvis verify`: the differential
-#                 oracles plus the paper-conformance invariants (Fig. 5/8/9/
-#                 10, Table II bands), emitting QA_conformance.json into the
-#                 build dir. Fails if any invariant leaves its band.
-#   --energy-smoke after the suite, run `greenvis profile --case 1`, check
-#                 the profile's schema tag and conservation error, and diff
-#                 it byte-for-byte against the committed golden
-#                 tools/golden/ENERGY_profile_case1.json (the profile is a
-#                 pure function of the virtual timelines, so it must never
-#                 drift without an intentional regeneration).
-#   --serve-smoke after the suite, run the serving-layer slice: the serve
-#                 unit tests, the serve.cached_vs_uncached differential
-#                 oracle and the serve.schedule_invariants generative
-#                 property, then `greenvis serve` twice with pinned flags —
-#                 the two profiles must be byte-identical to each other
-#                 (determinism) and to the committed golden
-#                 tools/golden/SERVE_profile_case1.json (the modeled results
-#                 are a pure function of the config; only host wall-clock may
-#                 vary run to run).
-#   --storage-smoke after the suite, run the storage-labeled ctest slice,
-#                 the storage.async_vs_sync differential oracle and the
-#                 storage.scheduler_invariants generative property.
 #   --simd        after the suite, re-run the full tier-1 suite once under
 #                 GREENVIS_SIMD=scalar and once under GREENVIS_SIMD=auto
 #                 (the dispatcher's best native path), then require
@@ -54,22 +30,12 @@ cd "$(dirname "$0")/.."
 
 ASAN=0
 BENCH_SMOKE=0
-CAMPAIGN_SMOKE=0
-CONFORMANCE=0
-ENERGY_SMOKE=0
-SERVE_SMOKE=0
 SIMD=0
-STORAGE_SMOKE=0
 while [[ "${1:-}" == --* ]]; do
   case "$1" in
     --asan) ASAN=1 ;;
     --bench-smoke) BENCH_SMOKE=1 ;;
-    --campaign-smoke) CAMPAIGN_SMOKE=1 ;;
-    --conformance) CONFORMANCE=1 ;;
-    --energy-smoke) ENERGY_SMOKE=1 ;;
-    --serve-smoke) SERVE_SMOKE=1 ;;
     --simd) SIMD=1 ;;
-    --storage-smoke) STORAGE_SMOKE=1 ;;
     *) echo "unknown flag: $1" >&2; exit 2 ;;
   esac
   shift
@@ -111,33 +77,6 @@ if [[ "$BENCH_SMOKE" == 1 ]]; then
   fi
 fi
 
-if [[ "$CAMPAIGN_SMOKE" == 1 ]]; then
-  echo "== campaign smoke =="
-  CLI="$BUILD_DIR"/tools/greenvis
-  SMOKE_DIR="$BUILD_DIR"/campaign-smoke
-  rm -rf "$SMOKE_DIR" && mkdir -p "$SMOKE_DIR"
-  SWEEP=(campaign --pipelines=post,insitu --grids=16,24 --periods=1,2
-         --iterations=2 --threads=4)
-
-  # Reference: one uninterrupted run.
-  "$CLI" "${SWEEP[@]}" --journal="$SMOKE_DIR/ref.journal" \
-    --out="$SMOKE_DIR/ref.json"
-
-  # Interrupt after 3 executed configs (exit code 3 = interrupted) ...
-  rc=0
-  "$CLI" "${SWEEP[@]}" --journal="$SMOKE_DIR/resume.journal" --limit=3 \
-    --out="$SMOKE_DIR/partial.json" || rc=$?
-  if [[ "$rc" != 3 ]]; then
-    echo "campaign smoke: expected interrupted exit code 3, got $rc" >&2
-    exit 1
-  fi
-  # ... then resume from the journal and demand byte-identical output.
-  "$CLI" "${SWEEP[@]}" --journal="$SMOKE_DIR/resume.journal" --resume \
-    --out="$SMOKE_DIR/resumed.json"
-  cmp "$SMOKE_DIR/ref.json" "$SMOKE_DIR/resumed.json"
-  echo "campaign smoke: resumed JSON byte-identical to the reference"
-fi
-
 if [[ "$SIMD" == 1 ]]; then
   echo "== simd differential =="
   # Tier-1 suite under the forced-scalar reference path, then again under
@@ -159,65 +98,6 @@ if [[ "$SIMD" == 1 ]]; then
         "$SIMD_DIR/compare_case${case_no}_auto.txt"
   done
   echo "simd differential: scalar and auto paths byte-identical"
-fi
-
-if [[ "$STORAGE_SMOKE" == 1 ]]; then
-  echo "== storage smoke =="
-  # The storage-labeled unit slice (devices, cache, fs, faults, async queue).
-  ctest --test-dir "$BUILD_DIR" -L storage --output-on-failure -j
-  # The differential oracle (async qd=1/noop == chained sync, bit for bit)
-  # and the generative scheduler property (exactly-once completion, causal
-  # timestamps, byte conservation, deadline starvation bound).
-  "$BUILD_DIR"/tests/test_qa --gtest_filter='Oracles.StorageAsyncVsSync'
-  "$BUILD_DIR"/tests/test_property \
-    --gtest_filter='*storage_scheduler_invariants*'
-fi
-
-if [[ "$CONFORMANCE" == 1 ]]; then
-  echo "== conformance =="
-  "$BUILD_DIR"/tools/greenvis verify --out="$BUILD_DIR/QA_conformance.json"
-fi
-
-if [[ "$ENERGY_SMOKE" == 1 ]]; then
-  echo "== energy smoke =="
-  PROFILE="$BUILD_DIR/ENERGY_profile_case1.json"
-  "$BUILD_DIR"/tools/greenvis profile --case 1 --out="$PROFILE" >/dev/null
-  grep -q '"schema": "greenvis.energy_profile.v1"' "$PROFILE"
-  # Conservation error is printed in full precision; anything at or above
-  # 1e-9 relative means the attributor's ENSURE should have fired already.
-  if command -v python3 >/dev/null 2>&1; then
-    python3 - "$PROFILE" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    profile = json.load(f)
-assert profile["conservation_error"] < 1e-9, profile["conservation_error"]
-total = profile["total_j"]
-stage_sum = sum(s["total_j"] for s in profile["stages"])
-assert abs(stage_sum - total) <= 1e-9 * max(1.0, abs(total))
-EOF
-  else
-    echo "energy smoke: python3 unavailable; schema + golden diff only"
-  fi
-  cmp "$PROFILE" tools/golden/ENERGY_profile_case1.json
-  echo "energy smoke: profile byte-identical to the committed golden"
-fi
-
-if [[ "$SERVE_SMOKE" == 1 ]]; then
-  echo "== serve smoke =="
-  "$BUILD_DIR"/tests/test_serve
-  "$BUILD_DIR"/tests/test_qa --gtest_filter='Oracles.ServeCachedVsUncached'
-  "$BUILD_DIR"/tests/test_property --gtest_filter='*serve_schedule_invariants*'
-  SERVE_A="$BUILD_DIR/SERVE_profile_case1.json"
-  SERVE_B="$BUILD_DIR/SERVE_profile_case1.rerun.json"
-  "$BUILD_DIR"/tools/greenvis serve --case=1 --viewers=8 --views=4 \
-    --out="$SERVE_A" >/dev/null
-  grep -q '"schema": "greenvis.serve_profile.v1"' "$SERVE_A"
-  "$BUILD_DIR"/tools/greenvis serve --case=1 --viewers=8 --views=4 \
-    --out="$SERVE_B" >/dev/null
-  cmp "$SERVE_A" "$SERVE_B"
-  echo "serve smoke: profile byte-identical across reruns"
-  cmp "$SERVE_A" tools/golden/SERVE_profile_case1.json
-  echo "serve smoke: profile byte-identical to the committed golden"
 fi
 
 echo "== format =="

@@ -1,37 +1,14 @@
-// greenvis — command-line front end to the library.
-//
-//   greenvis compare [--case N] [--cap WATTS] [--io-ghz F]
-//                    [--codec raw|delta|rle] [--tolerance T]
-//                    [--pipeline sync|async] [--stage-buffers N]
-//                    [--stage-queue-depth N]
-//                    [--device hdd|ssd|nvram|nvme|raid0]
-//                    [--io-queue-depth N]
-//                    [--io-sched device|noop|elevator|deadline]
-//   greenvis fio <seq-read|rand-read|seq-write|rand-write> [--size MIB]
-//               [--device hdd|ssd|nvram|nvme|raid0]
-//   greenvis advise --accesses N --kib K --random F --reads F
-//                   [--no-exploration]
-//   greenvis replay (<trace-file>|--builtin mpas|xrage) [--in-situ]
-//   greenvis cluster [--nodes N] [--staging S] [--targets T]
-//   greenvis campaign [--pipelines ...] [--grids ...] [--journal FILE]
-//                     [--resume] [--limit N] [--whatif]
-//   greenvis profile [--case N] [--pipeline sync|async|insitu] [--top N]
-//                    [--out FILE]      # span-level joule attribution
-//   greenvis serve [--case N] [--viewers N] [--views G] [--no-cache]
-//                  [--out FILE]        # multi-viewer frame serving
-//   greenvis trace-template            # print a starter trace to stdout
-//
-// Any command also accepts the global observability flags
-//   --trace-out=FILE     write a Chrome trace-event JSON of the run
-//   --metrics-out=FILE   write the metrics snapshot (.csv suffix → CSV,
-//                        anything else → JSON)
-// Either flag switches the obs subsystem on for the whole process.
+// greenvis — command-line front end to the library. Run it without
+// arguments for the command synopsis (usage() below).
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -71,47 +48,88 @@ std::string opt_string(const Args& args, const std::string& key,
   return args.get(key, fallback);
 }
 
-int cmd_compare(const Args& args) {
-  const int case_number = static_cast<int>(opt_double(args, "case", 1));
-  core::TestbedConfig config;
-  config.package_cap = util::Watts{opt_double(args, "cap", 0.0)};
-  config.io_frequency_ghz = opt_double(args, "io-ghz", 0.0);
-  const std::string device = opt_string(args, "device", "hdd");
-  if (const auto kind = storage::parse_device(device)) {
-    config.device = *kind;
-  } else {
-    std::cerr << "unknown --device '" << device
-              << "' (expected hdd|ssd|nvram|nvme|raid0)\n";
-    return 2;
+/// Bad user input: main() prints the message and the usage text and
+/// exits 2.
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+int opt_case(const Args& args) {
+  const double n = opt_double(args, "case", 1);
+  if (n != 1 && n != 2 && n != 3) {
+    throw UsageError("--case must be 1, 2 or 3");
   }
-  config.fs.io_queue.queue_depth = static_cast<std::size_t>(
-      opt_double(args, "io-queue-depth",
-                 static_cast<double>(config.fs.io_queue.queue_depth)));
+  return static_cast<int>(n);
+}
+
+storage::DeviceKind opt_device(const Args& args) {
+  const std::string device = opt_string(args, "device", "hdd");
+  const auto kind = storage::parse_device(device);
+  if (!kind) {
+    throw UsageError("unknown --device '" + device +
+                     "' (expected hdd|ssd|nvram|nvme|raid0)");
+  }
+  return *kind;
+}
+
+codec::Kind parse_codec(const std::string& name) {
+  for (const codec::Kind kind :
+       {codec::Kind::kRaw, codec::Kind::kDelta, codec::Kind::kRle}) {
+    if (name == codec::kind_name(kind)) {
+      return kind;
+    }
+  }
+  throw UsageError("unknown codec '" + name + "' (expected raw|delta|rle)");
+}
+
+util::Watts opt_cap(const Args& args) {
+  const double watts = opt_double(args, "cap", 0.0);
+  if (!(watts >= 0.0)) {
+    throw UsageError("--cap must be at least 0 W (0 = uncapped)");
+  }
+  return util::Watts{watts};
+}
+
+/// A whole-number option of at least `min`.
+std::size_t opt_count(const Args& args, const std::string& key,
+                      std::size_t fallback, std::size_t min = 1) {
+  const double n = opt_double(args, key, static_cast<double>(fallback));
+  if (!(n >= static_cast<double>(min) && n <= 1e9 && n == std::floor(n))) {
+    throw UsageError("--" + key + " must be a whole number of at least " +
+                     std::to_string(min));
+  }
+  return static_cast<std::size_t>(n);
+}
+
+int cmd_compare(const Args& args) {
+  core::TestbedConfig config;
+  config.package_cap = opt_cap(args);
+  config.io_frequency_ghz = opt_double(args, "io-ghz", 0.0);
+  config.device = opt_device(args);
+  config.fs.io_queue.queue_depth =  // 0 = one window for the whole batch
+      opt_count(args, "io-queue-depth", config.fs.io_queue.queue_depth, 0);
   const std::string io_sched = opt_string(args, "io-sched", "device");
   if (const auto sched = storage::parse_io_scheduler(io_sched)) {
     config.fs.io_queue.scheduler = *sched;
   } else {
-    std::cerr << "unknown --io-sched '" << io_sched
-              << "' (expected device|noop|elevator|deadline)\n";
-    return 2;
+    throw UsageError("unknown --io-sched '" + io_sched +
+                     "' (expected device|noop|elevator|deadline)");
   }
   const std::string pipeline = opt_string(args, "pipeline", "sync");
   if (pipeline != "sync" && pipeline != "async") {
-    std::cerr << "unknown --pipeline '" << pipeline
-              << "' (expected sync or async)\n";
-    return 2;
+    throw UsageError("unknown --pipeline '" + pipeline +
+                     "' (expected sync or async)");
   }
   const bool async_post = pipeline == "async";
   core::PipelineOptions options;
-  options.stage_buffers = static_cast<std::size_t>(
-      opt_double(args, "stage-buffers", static_cast<double>(options.stage_buffers)));
-  options.stage_queue_depth = static_cast<std::size_t>(
-      opt_double(args, "stage-queue-depth",
-                 static_cast<double>(options.stage_queue_depth)));
+  options.stage_buffers =
+      opt_count(args, "stage-buffers", options.stage_buffers);
+  options.stage_queue_depth =
+      opt_count(args, "stage-queue-depth", options.stage_queue_depth);
   const core::Experiment experiment(config);
-  auto workload = core::case_study(case_number);
+  auto workload = core::case_study(opt_case(args));
   workload.snapshot_codec.kind =
-      codec::parse_kind(opt_string(args, "codec", "raw"));
+      parse_codec(opt_string(args, "codec", "raw"));
   workload.snapshot_codec.tolerance =
       opt_double(args, "tolerance", workload.snapshot_codec.tolerance);
   std::cerr << "running " << workload.name << " (codec="
@@ -160,10 +178,7 @@ int cmd_compare(const Args& args) {
 
 int cmd_fio(const Args& args) {
   if (args.positional().empty()) {
-    std::cerr << "usage: greenvis fio <seq-read|rand-read|seq-write|"
-                 "rand-write> [--size MIB] "
-                 "[--device hdd|ssd|nvram|nvme|raid0]\n";
-    return 2;
+    throw UsageError("fio needs a mode");
   }
   const std::map<std::string, fio::RwMode> modes{
       {"seq-read", fio::RwMode::kSequentialRead},
@@ -172,31 +187,22 @@ int cmd_fio(const Args& args) {
       {"rand-write", fio::RwMode::kRandomWrite}};
   const auto it = modes.find(args.positional()[0]);
   if (it == modes.end()) {
-    std::cerr << "unknown fio mode '" << args.positional()[0] << "'\n";
-    return 2;
+    throw UsageError("unknown fio mode '" + args.positional()[0] + "'");
   }
   fio::FioRunnerConfig config;
-  const std::string device = opt_string(args, "device", "hdd");
-  if (const auto kind = storage::parse_device(device)) {
-    config.device = *kind;
-  } else {
-    std::cerr << "unknown --device '" << device
-              << "' (expected hdd|ssd|nvram|nvme|raid0)\n";
-    return 2;
-  }
+  config.device = opt_device(args);
   fio::FioJob job = fio::table3_job(it->second);
   if (args.has("size")) {
     // 32 GiB still fits the data area of the smallest modeled device
     // (NVRAM) under the aged layout; 8x the Table III jobs.
     const double mib = opt_double(args, "size", 0.0);
     if (!(mib >= 1.0 && mib <= 32768.0)) {
-      std::cerr << "--size must be between 1 and 32768 MiB\n";
-      return 2;
+      throw UsageError("--size must be between 1 and 32768 MiB");
     }
     job.total_size = util::mebibytes(static_cast<std::uint64_t>(mib));
   }
   std::cerr << "running " << job.name << " (" << job.total_size.megabytes()
-            << " MiB) on " << device << "...\n";
+            << " MiB) on " << storage::device_name(config.device) << "...\n";
   const auto out = fio::FioRunner(config).run(job);
   util::TextTable t({"Metric", "Value"});
   t.add_row({"Execution time (s)", util::cell(out.result.execution_time.value())});
@@ -212,10 +218,8 @@ int cmd_fio(const Args& args) {
 
 int cmd_advise(const Args& args) {
   analysis::AccessPattern pattern;
-  pattern.accesses =
-      static_cast<std::uint64_t>(opt_double(args, "accesses", 1 << 18));
-  pattern.bytes_per_access = util::kibibytes(
-      static_cast<std::uint64_t>(opt_double(args, "kib", 16)));
+  pattern.accesses = opt_count(args, "accesses", 1 << 18);
+  pattern.bytes_per_access = util::kibibytes(opt_count(args, "kib", 16));
   pattern.random_fraction = opt_double(args, "random", 1.0);
   pattern.read_fraction = opt_double(args, "reads", 0.9);
   pattern.exploratory_analysis_required =
@@ -249,22 +253,18 @@ int cmd_replay(const Args& args) {
     } else if (which == "xrage") {
       text = replay::xrage_like_trace();
     } else {
-      std::cerr << "unknown builtin '" << which << "' (mpas|xrage)\n";
-      return 2;
+      throw UsageError("unknown builtin '" + which + "' (mpas|xrage)");
     }
   } else if (!args.positional().empty()) {
     std::ifstream file(args.positional()[0]);
     if (!file.good()) {
-      std::cerr << "cannot open trace file " << args.positional()[0] << '\n';
-      return 2;
+      throw UsageError("cannot open trace file " + args.positional()[0]);
     }
     std::ostringstream buf;
     buf << file.rdbuf();
     text = buf.str();
   } else {
-    std::cerr << "usage: greenvis replay (<trace-file>|--builtin mpas|xrage) "
-                 "[--in-situ]\n";
-    return 2;
+    throw UsageError("replay needs a trace file or --builtin");
   }
 
   replay::AppTrace trace = replay::parse_trace(text);
@@ -289,12 +289,12 @@ int cmd_replay(const Args& args) {
 
 int cmd_cluster(const Args& args) {
   net::ClusterSpec cluster;
-  cluster.compute_nodes =
-      static_cast<std::size_t>(opt_double(args, "nodes", 32));
-  cluster.staging_nodes =
-      static_cast<std::size_t>(opt_double(args, "staging", 2));
-  cluster.pfs.storage_targets =
-      static_cast<std::size_t>(opt_double(args, "targets", 4));
+  cluster.compute_nodes = opt_count(args, "nodes", 32);
+  if ((cluster.compute_nodes & (cluster.compute_nodes - 1)) != 0) {
+    throw UsageError("--nodes must be a power of two");
+  }
+  cluster.staging_nodes = opt_count(args, "staging", 2);
+  cluster.pfs.storage_targets = opt_count(args, "targets", 4);
   const net::MultiNodeStudy study(cluster, core::case_study(1));
   const auto post = study.post_processing();
   const auto insitu = study.in_situ();
@@ -334,6 +334,24 @@ std::vector<std::string> split_csv(const std::string& text) {
   return out;
 }
 
+/// A comma-separated list of whole numbers, each at least `min`.
+std::vector<std::size_t> opt_counts(const Args& args, const std::string& key,
+                                    const std::string& fallback,
+                                    std::size_t min) {
+  std::vector<std::size_t> out;
+  for (const std::string& item : split_csv(opt_string(args, key, fallback))) {
+    std::size_t n = 0;
+    const char* end = item.data() + item.size();
+    const auto [stop, error] = std::from_chars(item.data(), end, n);
+    if (error != std::errc{} || stop != end || n < min || n > 1000000000) {
+      throw UsageError("--" + key + " takes whole numbers of at least " +
+                       std::to_string(min) + ", got '" + item + "'");
+    }
+    out.push_back(n);
+  }
+  return out;
+}
+
 int cmd_campaign(const Args& args) {
   campaign::CampaignSpec spec;
   for (const std::string& name :
@@ -345,23 +363,19 @@ int cmd_campaign(const Args& args) {
     } else if (name == "insitu") {
       spec.pipelines.push_back(core::PipelineKind::kInSitu);
     } else {
-      std::cerr << "unknown pipeline '" << name
-                << "' (expected post|async|insitu)\n";
-      return 2;
+      throw UsageError("unknown pipeline '" + name +
+                       "' (expected post|async|insitu)");
     }
   }
-  for (const std::string& g : split_csv(opt_string(args, "grids", "128"))) {
-    spec.grids.push_back(static_cast<std::size_t>(std::stoul(g)));
+  spec.grids = opt_counts(args, "grids", "128", 4);
+  for (const std::size_t p : opt_counts(args, "periods", "1,2,8", 1)) {
+    spec.io_periods.push_back(static_cast<int>(p));
   }
-  for (const std::string& p : split_csv(opt_string(args, "periods", "1,2,8"))) {
-    spec.io_periods.push_back(std::stoi(p));
-  }
-  for (const std::string& i :
-       split_csv(opt_string(args, "iterations", "50"))) {
-    spec.iterations.push_back(std::stoi(i));
+  for (const std::size_t i : opt_counts(args, "iterations", "50", 1)) {
+    spec.iterations.push_back(static_cast<int>(i));
   }
   for (const std::string& c : split_csv(opt_string(args, "codecs", "raw"))) {
-    spec.codecs.push_back(codec::parse_kind(c));
+    spec.codecs.push_back(parse_codec(c));
   }
   for (const std::string& t : split_csv(opt_string(args, "tolerances", ""))) {
     spec.tolerances.push_back(std::stod(t));
@@ -370,9 +384,8 @@ int cmd_campaign(const Args& args) {
     if (const auto kind = storage::parse_device(d)) {
       spec.devices.push_back(*kind);
     } else {
-      std::cerr << "unknown device '" << d
-                << "' (expected hdd|ssd|nvram|nvme|raid0)\n";
-      return 2;
+      throw UsageError("unknown device '" + d +
+                       "' (expected hdd|ssd|nvram|nvme|raid0)");
     }
   }
   for (const std::string& f : split_csv(opt_string(args, "freqs", ""))) {
@@ -388,25 +401,20 @@ int cmd_campaign(const Args& args) {
     if (const auto kind = storage::parse_io_scheduler(s)) {
       spec.io_scheds.push_back(*kind);
     } else {
-      std::cerr << "unknown io scheduler '" << s
-                << "' (expected device|noop|elevator|deadline)\n";
-      return 2;
+      throw UsageError("unknown io scheduler '" + s +
+                       "' (expected device|noop|elevator|deadline)");
     }
   }
-  for (const std::string& d :
-       split_csv(opt_string(args, "io-queue-depths", ""))) {
-    spec.io_queue_depths.push_back(static_cast<std::size_t>(std::stoul(d)));
-  }
-  for (const std::string& v : split_csv(opt_string(args, "viewers", ""))) {
-    spec.viewer_counts.push_back(std::stoi(v));
+  spec.io_queue_depths = opt_counts(args, "io-queue-depths", "", 0);
+  for (const std::size_t v : opt_counts(args, "viewers", "", 0)) {
+    spec.viewer_counts.push_back(static_cast<int>(v));
   }
   const std::vector<campaign::CampaignConfig> configs = spec.expand();
 
   campaign::ResultCache cache;
   const std::string journal_path = opt_string(args, "journal", "");
   if (args.has("resume") && journal_path.empty()) {
-    std::cerr << "--resume requires --journal=FILE\n";
-    return 2;
+    throw UsageError("--resume requires --journal=FILE");
   }
   std::optional<std::ofstream> journal_out;
   if (!journal_path.empty()) {
@@ -428,9 +436,9 @@ int cmd_campaign(const Args& args) {
   }
 
   campaign::CampaignOptions options;
-  options.threads = static_cast<std::size_t>(opt_double(args, "threads", 0));
-  options.shards = static_cast<std::size_t>(opt_double(args, "shards", 0));
-  options.job_limit = static_cast<std::size_t>(opt_double(args, "limit", 0));
+  options.threads = opt_count(args, "threads", 0, 0);
+  options.shards = opt_count(args, "shards", 0, 0);
+  options.job_limit = opt_count(args, "limit", 0, 0);
 
   std::cerr << "campaign: " << configs.size() << " config(s)...\n";
   const campaign::CampaignEngine engine(
@@ -511,18 +519,10 @@ int cmd_campaign(const Args& args) {
 }
 
 int cmd_profile(const Args& args) {
-  const int case_number = static_cast<int>(opt_double(args, "case", 1));
   core::TestbedConfig config;
-  config.package_cap = util::Watts{opt_double(args, "cap", 0.0)};
+  config.package_cap = opt_cap(args);
   config.io_frequency_ghz = opt_double(args, "io-ghz", 0.0);
-  const std::string device = opt_string(args, "device", "hdd");
-  if (const auto dev = storage::parse_device(device)) {
-    config.device = *dev;
-  } else {
-    std::cerr << "unknown --device '" << device
-              << "' (expected hdd|ssd|nvram|nvme|raid0)\n";
-    return 2;
-  }
+  config.device = opt_device(args);
   const std::string pipeline = opt_string(args, "pipeline", "sync");
   core::PipelineKind kind = core::PipelineKind::kPostProcessing;
   if (pipeline == "async") {
@@ -530,16 +530,16 @@ int cmd_profile(const Args& args) {
   } else if (pipeline == "insitu") {
     kind = core::PipelineKind::kInSitu;
   } else if (pipeline != "sync") {
-    std::cerr << "unknown --pipeline '" << pipeline
-              << "' (expected sync, async or insitu)\n";
-    return 2;
+    throw UsageError("unknown --pipeline '" + pipeline +
+                     "' (expected sync, async or insitu)");
   }
   core::PipelineOptions options;
-  options.stage_buffers = static_cast<std::size_t>(opt_double(
-      args, "stage-buffers", static_cast<double>(options.stage_buffers)));
-  auto workload = core::case_study(case_number);
+  options.stage_buffers =
+      opt_count(args, "stage-buffers", options.stage_buffers);
+  const std::size_t top_n = opt_count(args, "top", 5);
+  auto workload = core::case_study(opt_case(args));
   workload.snapshot_codec.kind =
-      codec::parse_kind(opt_string(args, "codec", "raw"));
+      parse_codec(opt_string(args, "codec", "raw"));
   workload.snapshot_codec.tolerance =
       opt_double(args, "tolerance", workload.snapshot_codec.tolerance);
 
@@ -570,8 +570,6 @@ int cmd_profile(const Args& args) {
             << util::cell_percent(1.0 - rep.static_share())
             << " dynamic (conservation error " << rep.conservation_error
             << ").\n";
-  const auto top_n =
-      static_cast<std::size_t>(opt_double(args, "top", 5));
   const auto ranked = analysis::top_consumers(rep, top_n);
   std::cout << "Top consumers:";
   for (const auto& c : ranked) {
@@ -596,26 +594,17 @@ int cmd_profile(const Args& args) {
 }
 
 int cmd_serve(const Args& args) {
-  const int case_number = static_cast<int>(opt_double(args, "case", 1));
-  const int viewers = static_cast<int>(opt_double(args, "viewers", 16));
-  const int views = static_cast<int>(opt_double(args, "views", 4));
-  if (viewers < 1 || views < 1 || views > viewers) {
-    std::cerr << "expected 1 <= --views <= --viewers\n";
-    return 2;
+  const int viewers = static_cast<int>(opt_count(args, "viewers", 16));
+  const int views = static_cast<int>(opt_count(args, "views", 4));
+  if (views > viewers) {
+    throw UsageError("expected 1 <= --views <= --viewers");
   }
   core::TestbedConfig bed_config;
-  bed_config.package_cap = util::Watts{opt_double(args, "cap", 0.0)};
-  const std::string device = opt_string(args, "device", "hdd");
-  if (const auto dev = storage::parse_device(device)) {
-    bed_config.device = *dev;
-  } else {
-    std::cerr << "unknown --device '" << device
-              << "' (expected hdd|ssd|nvram|nvme|raid0)\n";
-    return 2;
-  }
+  bed_config.package_cap = opt_cap(args);
+  bed_config.device = opt_device(args);
 
   serve::ServeConfig config;
-  config.base = core::case_study(case_number);
+  config.base = core::case_study(opt_case(args));
   config.viewers = serve::default_fleet(viewers, views);
   config.cache_enabled = !args.has("no-cache");
   config.cache_capacity = static_cast<std::size_t>(opt_double(
@@ -692,7 +681,7 @@ int cmd_verify(const Args& args) {
 
   qa::ConformanceOptions options;
   options.snapshot_codec.kind =
-      codec::parse_kind(opt_string(args, "codec", "raw"));
+      parse_codec(opt_string(args, "codec", "raw"));
   options.snapshot_codec.tolerance = opt_double(
       args, "tolerance", options.snapshot_codec.tolerance);
   options.build_label = opt_string(args, "label", "default");
@@ -702,7 +691,7 @@ int cmd_verify(const Args& args) {
   std::cerr << "running paper-conformance suite (6 pipeline runs + stage "
                "runs)...\n";
   qa::ConformanceReport report = qa::run_conformance(options);
-  report.oracles = qa::OracleRegistry::global().run_all();
+  report.oracles = qa::run_all_oracles();
 
   util::TextTable t({"Invariant", "Value", "Band", "Verdict"});
   for (const auto& inv : report.invariants) {
@@ -747,8 +736,8 @@ commands:
           [--device hdd|ssd|nvram|nvme|raid0]
           [--io-queue-depth N]
           [--io-sched device|noop|elevator|deadline]
-  fio <seq-read|rand-read|seq-write|rand-write>
-      [--size MIB] [--device hdd|ssd|nvram]           one fio job
+  fio <seq-read|rand-read|seq-write|rand-write>      one fio job
+      [--size MIB] [--device hdd|ssd|nvram|nvme|raid0]
   advise --accesses N --kib K --random F --reads F
       [--no-exploration]                              optimization advisor
   replay (<trace-file>|--builtin mpas|xrage) [--in-situ]
@@ -871,6 +860,10 @@ int main(int argc, char** argv) {
       rc = 1;
     }
     return rc;
+  } catch (const UsageError& e) {
+    std::cerr << "greenvis " << command << ": " << e.what() << "\n\n";
+    usage();
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
