@@ -103,13 +103,18 @@ double HeatSolver::step() {
   // A pool with a single executing thread would run everything inline
   // anyway, but the std::function round trip per dispatch is not free (and
   // may allocate). Call the sweep directly instead — disjoint rows, so the
-  // result is identical. Small grids also stay serial: below ~8k unknowns
-  // the wake/claim overhead eats the win, and with SIMD rows the per-row
-  // work is small enough that each task must carry several rows (grain).
+  // result is identical. Grids below kPoolMinUnknowns also stay serial: the
+  // pooled loop dispatches once per sweep and forgoes the fused wavefront,
+  // and on a 4-thread pool it only caught up with the serial fused path at
+  // ~82k unknowns (288^2: 0.9x at 256^2, 0.46x at the paper's 128^2, 2.1x
+  // at 512^2). With SIMD rows the per-row work is small enough that each
+  // task must carry several rows (grain).
+  constexpr std::size_t kPoolMinUnknowns = 80 * 1024;
   const std::size_t rows_total = j_hi - j_lo;
   const std::size_t unknowns = rows_total * (i_hi - i_lo);
   const bool use_pool = pool_ != nullptr && pool_->size() > 1 &&
-                        rows_total >= 2 * pool_->size() && unknowns >= 8192;
+                        rows_total >= 2 * pool_->size() &&
+                        unknowns >= kPoolMinUnknowns;
   const std::size_t row_grain = std::max<std::size_t>(1, 4096 / nx);
 
   constexpr std::size_t kMaxFuse = 12;

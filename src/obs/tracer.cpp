@@ -16,7 +16,11 @@ class Tracer::ThreadBuffer {
   /// counted as dropped instead of recorded.
   static constexpr std::size_t kMaxEvents = 1u << 20;
 
-  explicit ThreadBuffer(std::uint32_t tid) : tid_(tid) { add_block(); }
+  /// Blocks are allocated on the first push, not here: every pool worker
+  /// and staging writer labels itself via set_thread_name even with tracing
+  /// off, and buffers are never freed, so an eager block would leave ~256 KB
+  /// resident per thread ever started.
+  explicit ThreadBuffer(std::uint32_t tid) : tid_(tid) {}
 
   [[nodiscard]] std::uint32_t tid() const { return tid_; }
 
@@ -35,7 +39,7 @@ class Tracer::ThreadBuffer {
     if (n >= kMaxEvents) {
       return false;
     }
-    if (write_idx_ == kBlockEvents) {
+    if (tail_ == nullptr || write_idx_ == kBlockEvents) {
       add_block();
       write_idx_ = 0;
     }
@@ -70,8 +74,8 @@ class Tracer::ThreadBuffer {
   void clear() {
     {
       std::lock_guard lock(blocks_mutex_);
-      blocks_.resize(1);
-      tail_ = blocks_.front().get();
+      blocks_.resize(std::min<std::size_t>(blocks_.size(), 1));
+      tail_ = blocks_.empty() ? nullptr : blocks_.front().get();
     }
     write_idx_ = 0;
     committed_.store(0, std::memory_order_release);

@@ -35,6 +35,7 @@
 #include "src/util/rng.hpp"
 #include "src/util/simd/simd.hpp"
 #include "src/util/thread_pool.hpp"
+#include "src/vis/rasterizer.hpp"
 #include "src/vis/volume.hpp"
 
 namespace greenvis::qa {
@@ -84,9 +85,11 @@ core::CaseStudyConfig small_pipeline_config() {
 // ---- solver: pool size must never change the numbers ----
 
 OracleResult solver_serial_vs_pool() {
+  // Above the solver's pool floor, so the 4-thread leg runs the pooled
+  // sweep-at-a-time loop against the serial fused wavefront.
   heat::HeatProblem problem = core::case_study(1).problem;
-  problem.nx = 96;
-  problem.ny = 96;
+  problem.nx = 320;
+  problem.ny = 320;
   problem.executed_sweeps = 12;
   heat::HeatSolver serial(problem, nullptr);
   util::ThreadPool pool(4);
@@ -116,7 +119,7 @@ OracleResult solver_serial_vs_pool() {
                   std::to_string(s));
     }
   }
-  return pass("2-D (96x96, 4 steps) and 3-D (20x18x16, 3 steps) fields "
+  return pass("2-D (320x320, 4 steps) and 3-D (20x18x16, 3 steps) fields "
               "bit-identical for pool sizes 1 and 4");
 }
 
@@ -656,8 +659,9 @@ OracleResult legacy_vs_chunked_decode() {
 // ---- simd: every vector path must reproduce the scalar bits ----
 //
 // Runs the SIMD-accelerated workloads — both solvers, the delta codec
-// round trip, and the volume renderer — once per supported ISA path and
-// diffs every output byte against the scalar reference. Trivially passes
+// round trip, the volume renderer and the pseudocolor raster — once per
+// supported ISA path and diffs every output byte against the scalar
+// reference. Trivially passes
 // (with a note) on hosts where scalar is the only supported path.
 
 OracleResult simd_scalar_vs_vector() {
@@ -669,6 +673,7 @@ OracleResult simd_scalar_vs_vector() {
     std::vector<std::uint8_t> blob;
     std::vector<double> decoded;
     std::vector<std::uint64_t> images;
+    std::vector<std::uint64_t> rasters;
   };
   const auto run = [] {
     Outputs o;
@@ -713,6 +718,25 @@ OracleResult simd_scalar_vs_vector() {
     vc.camera.azimuth_deg = 140.0;
     vc.camera.elevation_deg = -10.0;
     o.images.push_back(vis::render_volume(vol, vc).digest());
+
+    // Every palette, an odd width (vector tails), a width that is a
+    // multiple of every vector width, and a narrowed range (clamped pixels
+    // at both ends), serial and row-parallel.
+    const util::Field2D rf = reference_field(70, 53, 29);
+    util::ThreadPool raster_pool(4);
+    for (const vis::ColorMap& cmap :
+         {vis::ColorMap::cool_warm(), vis::ColorMap::hot(),
+          vis::ColorMap::grayscale()}) {
+      for (const std::size_t w : {301u, 64u}) {
+        o.rasters.push_back(vis::render_pseudocolor(rf, cmap, w, 2 * w / 3,
+                                                    rf.min_value(),
+                                                    rf.max_value())
+                                .digest());
+        o.rasters.push_back(vis::render_pseudocolor(rf, cmap, w, 2 * w / 3,
+                                                    -10.0, 12.0, &raster_pool)
+                                .digest());
+      }
+    }
     return o;
   };
 
@@ -748,14 +772,18 @@ OracleResult simd_scalar_vs_vector() {
     if (scalar.images != vec.images) {
       return fail(std::string(name) + ": volume render digests diverged");
     }
+    if (scalar.rasters != vec.rasters) {
+      return fail(std::string(name) + ": pseudocolor raster digests diverged");
+    }
     checked += checked.empty() ? name : std::string(", ") + name;
   }
   if (checked.empty()) {
     return pass("scalar is the only supported path on this host — nothing "
                 "to diff (vacuous pass)");
   }
-  return pass("solver fields, codec bytes, decode bits, and render digests "
-              "bit-identical to scalar for: " + checked);
+  return pass("solver fields, codec bytes, decode bits, and volume and "
+              "pseudocolor render digests bit-identical to scalar for: " +
+              checked);
 }
 
 // ---- serving: the frame cache is a host accelerator, not a model knob ----

@@ -9,6 +9,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -31,6 +32,7 @@
 #include "src/util/rng.hpp"
 #include "src/util/simd/simd.hpp"
 #include "src/util/units.hpp"
+#include "src/vis/color.hpp"
 
 namespace greenvis::qa {
 
@@ -750,6 +752,172 @@ void register_simd_properties() {
         std::ostringstream os;
         os << tc.nx << "x" << tc.ny << "x" << tc.nz
            << " npts=" << tc.xs.size();
+        return os.str();
+      });
+
+  // pseudocolor_row against an independent spelling of the pre-kernel
+  // per-pixel definition — bilinear_sample's lerps, then ColorMap's
+  // map_range with its linear stop search and std::lround channels — over
+  // random stop lists, ranges (degenerate, inverted, NaN, infinite), field
+  // values (NaN, infinite) and widths (1, odd, not a vector multiple).
+  struct RasterCase {
+    std::vector<double> pos, r, g, b;
+    std::vector<double> row0, row1;  // nx field values each
+    std::vector<double> xs;          // one field coordinate per pixel
+    double fy{0.0};
+    double lo{0.0};
+    double hi{1.0};
+  };
+  const Gen<RasterCase> raster_gen = [](Choices& c) {
+    RasterCase rc;
+    // Tie mode pins exact round-half cases: the first stop's channels are
+    // (k + 0.5)/255, and pixels with integral x, fy = 0 and value lo land
+    // on t = 0, so the channel is that stop's value exactly.
+    const bool ties = c.draw_bool();
+    const auto stops = static_cast<std::size_t>(c.draw_range(2, 8));
+    std::vector<double> gaps(stops - 1);
+    double total = 0.0;
+    for (double& gap : gaps) {
+      gap = c.draw_real(0.05, 1.0);
+      total += gap;
+    }
+    double cum = 0.0;
+    for (std::size_t k = 0; k < stops; ++k) {
+      rc.pos.push_back(k == 0 ? 0.0 : (k + 1 == stops ? 1.0 : cum / total));
+      if (k + 1 < stops) {
+        cum += gaps[k];
+      }
+      // Channels past [0, 1] exercise the per-channel clamp.
+      const auto channel = [&] {
+        return ties && k == 0
+                   ? (static_cast<double>(c.draw_below(255)) + 0.5) / 255.0
+                   : c.draw_real(-0.2, 1.2);
+      };
+      rc.r.push_back(channel());
+      rc.g.push_back(channel());
+      rc.b.push_back(channel());
+    }
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+    const double lo = c.draw_real(-60.0, 40.0);
+    const double span = c.draw_real(1e-3, 100.0);
+    switch (c.draw_below(10)) {
+      case 0: rc.lo = lo; rc.hi = lo; break;            // degenerate
+      case 1: rc.lo = lo + span; rc.hi = lo; break;     // inverted
+      case 2: rc.lo = kNaN; rc.hi = lo; break;
+      case 3: rc.lo = lo; rc.hi = kNaN; break;
+      case 4: rc.lo = -kInf; rc.hi = lo; break;
+      case 5: rc.lo = lo; rc.hi = kInf; break;
+      case 6: rc.lo = -kInf; rc.hi = kInf; break;
+      default: rc.lo = lo; rc.hi = lo + span; break;
+    }
+    const auto nx = static_cast<std::size_t>(c.draw_range(1, 12));
+    const auto width = static_cast<std::size_t>(c.draw_range(1, 41));
+    rc.fy = ties ? 0.0 : c.draw_real(0.0, 1.0);
+    util::Xoshiro256 rng{c.draw_below(1ULL << 32)};
+    const auto value = [&] {
+      switch (rng.uniform_index(16)) {
+        case 0: return kNaN;
+        case 1: return kInf;
+        case 2: return -kInf;
+        case 3:
+        case 4:
+        case 5: return ties ? rc.lo : rng.uniform(-80.0, 80.0);
+        default: return rng.uniform(-80.0, 80.0);
+      }
+    };
+    for (std::size_t i = 0; i < nx; ++i) {
+      rc.row0.push_back(value());
+      rc.row1.push_back(value());
+    }
+    for (std::size_t x = 0; x < width; ++x) {
+      // Over-range on purpose: the clamp is part of the definition.
+      const double xc = rng.uniform(-2.0, static_cast<double>(nx) + 1.0);
+      rc.xs.push_back(ties ? std::floor(xc) : xc);
+    }
+    return rc;
+  };
+  add_property<RasterCase>(
+      "simd.pseudocolor_row_matches_definition", raster_gen,
+      [](const RasterCase& rc) {
+        const std::size_t nx = rc.row0.size();
+        const std::size_t n = rc.xs.size();
+        std::vector<std::int32_t> i0(n), i1(n);
+        std::vector<double> fx(n), gx(n);
+        for (std::size_t x = 0; x < n; ++x) {
+          const double xc =
+              std::clamp(rc.xs[x], 0.0, static_cast<double>(nx - 1));
+          const auto c0 = static_cast<std::size_t>(xc);
+          i0[x] = static_cast<std::int32_t>(c0);
+          i1[x] = static_cast<std::int32_t>(std::min(c0 + 1, nx - 1));
+          fx[x] = xc - static_cast<double>(c0);
+          gx[x] = 1.0 - fx[x];
+        }
+        const auto legacy_map = [&](double t) {
+          t = std::clamp(t, 0.0, 1.0);
+          std::size_t hi = 1;
+          while (hi + 1 < rc.pos.size() && rc.pos[hi] < t) {
+            ++hi;
+          }
+          const double f =
+              (t - rc.pos[hi - 1]) / (rc.pos[hi] - rc.pos[hi - 1]);
+          const auto chan = [f](double a, double b) {
+            const double v = std::clamp(a + f * (b - a), 0.0, 1.0);
+            // std::lround's value for NaN is unspecified; the colormap
+            // defines a NaN channel as 0.
+            return std::isnan(v) ? std::uint8_t{0}
+                                 : static_cast<std::uint8_t>(
+                                       std::lround(v * 255.0));
+          };
+          return std::vector<std::uint8_t>{
+              chan(rc.r[hi - 1], rc.r[hi]), chan(rc.g[hi - 1], rc.g[hi]),
+              chan(rc.b[hi - 1], rc.b[hi])};
+        };
+        std::vector<std::uint8_t> want;
+        for (std::size_t x = 0; x < n; ++x) {
+          const double a =
+              rc.row0[static_cast<std::size_t>(i0[x])] * (1.0 - fx[x]) +
+              rc.row0[static_cast<std::size_t>(i1[x])] * fx[x];
+          const double b =
+              rc.row1[static_cast<std::size_t>(i0[x])] * (1.0 - fx[x]) +
+              rc.row1[static_cast<std::size_t>(i1[x])] * fx[x];
+          const double v = a * (1.0 - rc.fy) + b * rc.fy;
+          const auto px = legacy_map(
+              rc.hi <= rc.lo ? 0.0 : (v - rc.lo) / (rc.hi - rc.lo));
+          want.insert(want.end(), px.begin(), px.end());
+        }
+
+        std::vector<vis::ColorMap::Stop> stops;
+        for (std::size_t k = 0; k < rc.pos.size(); ++k) {
+          stops.push_back({rc.pos[k], rc.r[k], rc.g[k], rc.b[k]});
+        }
+        const vis::ColorMap cmap(stops);
+        const simd::PseudocolorSpec spec{i0.data(), i1.data(), fx.data(),
+                                         gx.data(), rc.lo,     rc.hi,
+                                         cmap.stop_arrays()};
+        for (const simd::IsaPath path : simd::supported_paths()) {
+          std::vector<std::uint8_t> got(3 * n, 0xAB);
+          simd::table_for(path).pseudocolor_row(rc.row0.data(),
+                                                rc.row1.data(), rc.fy,
+                                                1.0 - rc.fy, &spec,
+                                                got.data(), n);
+          for (std::size_t k = 0; k < got.size(); ++k) {
+            if (got[k] != want[k]) {
+              return std::string(simd::path_name(path)) +
+                     ": pseudocolor_row pixel " + std::to_string(k / 3) +
+                     " channel " + std::to_string(k % 3) + " got " +
+                     std::to_string(got[k]) + " want " +
+                     std::to_string(want[k]);
+            }
+          }
+        }
+        return ok();
+      },
+      [](const RasterCase& rc) {
+        std::ostringstream os;
+        os << "stops=" << rc.pos.size() << " nx=" << rc.row0.size()
+           << " width=" << rc.xs.size() << " lo=" << rc.lo
+           << " hi=" << rc.hi << " fy=" << rc.fy;
         return os.str();
       });
 }

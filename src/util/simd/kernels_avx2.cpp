@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "src/util/simd/kernels_impl.hpp"
 
@@ -425,6 +426,124 @@ bool composite_block_avx2(const double* vs, std::size_t n,
   return false;
 }
 
+/// detail::quantize_channel on four lanes (see the SSE2 row): max(c, 0)
+/// maps NaN to 0, then r = trunc(x) minus the all-ones mask of
+/// x - r >= 0.5. Returns the bytes in four int32 lanes.
+__m128i quantize_channels(__m256d c) {
+  const __m256d x = _mm256_mul_pd(
+      _mm256_min_pd(_mm256_max_pd(c, _mm256_setzero_pd()),
+                    _mm256_set1_pd(1.0)),
+      _mm256_set1_pd(255.0));
+  const __m128i r = _mm256_cvttpd_epi32(x);
+  const __m256 up = _mm256_castpd_ps(
+      _mm256_cmp_pd(_mm256_sub_pd(x, _mm256_cvtepi32_pd(r)),
+                    _mm256_set1_pd(0.5), _CMP_GE_OQ));
+  // The low dword of each 64-bit mask lane, packed like r's lanes.
+  const __m128 up32 =
+      _mm_shuffle_ps(_mm256_castps256_ps128(up), _mm256_extractf128_ps(up, 1),
+                     _MM_SHUFFLE(2, 0, 2, 0));
+  return _mm_sub_epi32(r, _mm_castps_si128(up32));
+}
+
+void pseudocolor_row_avx2(const double* row0, const double* row1, double fy,
+                          double gy, const PseudocolorSpec* spec,
+                          std::uint8_t* rgb, std::size_t n) {
+  // Four pixels per step. The bilinear corners are scalar loads: on a
+  // 4-vCPU Xeon VM they ran this row ~1.4x faster than vgatherdpd. The
+  // segment select counts the interior stops below t (the reference
+  // search's result, since positions increase) and looks each segment
+  // constant up with one permutevar8x32 from a 4-entry table, so up to 5
+  // stops are vectorized; longer colormaps, degenerate and NaN ranges take
+  // the reference op. A NaN t flows through to black exactly as in the
+  // SSE2 row.
+  const PseudocolorSpec& sp = *spec;
+  const ColorStops& s = sp.stops;
+  constexpr std::size_t kMaxSegments = 4;
+  std::size_t x = 0;
+  if (sp.hi > sp.lo && s.count <= kMaxSegments + 1) {
+    // Segment k = stops (k, k+1): its start and width, and per channel its
+    // start and delta — the reference's operands, so the lerps are exact.
+    alignas(32) double tab[8][kMaxSegments] = {};
+    for (std::size_t k = 0; k + 1 < s.count; ++k) {
+      tab[0][k] = s.pos[k];
+      tab[1][k] = s.pos[k + 1] - s.pos[k];
+      tab[2][k] = s.r[k];
+      tab[3][k] = s.r[k + 1] - s.r[k];
+      tab[4][k] = s.g[k];
+      tab[5][k] = s.g[k + 1] - s.g[k];
+      tab[6][k] = s.b[k];
+      tab[7][k] = s.b[k + 1] - s.b[k];
+    }
+    __m256i seg[8];
+    for (std::size_t k = 0; k < 8; ++k) {
+      seg[k] = _mm256_load_si256(reinterpret_cast<const __m256i*>(tab[k]));
+    }
+    const __m256d vfy = _mm256_set1_pd(fy);
+    const __m256d vgy = _mm256_set1_pd(gy);
+    const __m256d vlo = _mm256_set1_pd(sp.lo);
+    const __m256d vrange = _mm256_set1_pd(sp.hi - sp.lo);
+    const __m256d zero = _mm256_setzero_pd();
+    const __m256d one = _mm256_set1_pd(1.0);
+    // Dword index pair (2c, 2c+1) of segment c in each 64-bit lane.
+    const __m256i pair_hi = _mm256_set1_epi64x(std::int64_t{1} << 32);
+    // Compacts four 0x00bbggrr lanes into 12 contiguous r, g, b bytes.
+    const __m128i pack12 =
+        _mm_setr_epi8(0, 1, 2, 4, 5, 6, 8, 9, 10, 12, 13, 14, -1, -1, -1, -1);
+    const std::int32_t* i0 = sp.i0;
+    const std::int32_t* i1 = sp.i1;
+    const double* fxs = sp.fx;
+    const double* gxs = sp.gx;
+    for (; x + 4 <= n; x += 4) {
+      const auto corners = [&](const double* row, const std::int32_t* idx) {
+        return _mm256_set_pd(row[idx[x + 3]], row[idx[x + 2]],
+                             row[idx[x + 1]], row[idx[x]]);
+      };
+      const __m256d gx = _mm256_loadu_pd(gxs + x);
+      const __m256d fx = _mm256_loadu_pd(fxs + x);
+      const __m256d a = _mm256_add_pd(_mm256_mul_pd(corners(row0, i0), gx),
+                                      _mm256_mul_pd(corners(row0, i1), fx));
+      const __m256d b = _mm256_add_pd(_mm256_mul_pd(corners(row1, i0), gx),
+                                      _mm256_mul_pd(corners(row1, i1), fx));
+      __m256d t = _mm256_div_pd(
+          _mm256_sub_pd(
+              _mm256_add_pd(_mm256_mul_pd(a, vgy), _mm256_mul_pd(b, vfy)),
+              vlo),
+          vrange);
+      // std::clamp(t, 0, 1) bit-exactly: max/min return their second
+      // operand on equality or NaN, so -0.0 and NaN pass through.
+      t = _mm256_min_pd(one, _mm256_max_pd(zero, t));
+      __m256i count = _mm256_setzero_si256();
+      for (std::size_t k = 1; k + 1 < s.count; ++k) {
+        count = _mm256_sub_epi64(
+            count, _mm256_castpd_si256(_mm256_cmp_pd(
+                       _mm256_set1_pd(s.pos[k]), t, _CMP_LT_OQ)));
+      }
+      const __m256i idx = _mm256_add_epi64(
+          _mm256_add_epi64(_mm256_slli_epi64(count, 1),
+                           _mm256_slli_epi64(count, 33)),
+          pair_hi);
+      const auto look = [&](std::size_t k) {
+        return _mm256_castsi256_pd(_mm256_permutevar8x32_epi32(seg[k], idx));
+      };
+      const __m256d f = _mm256_div_pd(_mm256_sub_pd(t, look(0)), look(1));
+      const auto chan = [&](std::size_t k) {
+        return quantize_channels(
+            _mm256_add_pd(look(k), _mm256_mul_pd(f, look(k + 1))));
+      };
+      const __m128i px = _mm_shuffle_epi8(
+          _mm_or_si128(chan(2), _mm_or_si128(_mm_slli_epi32(chan(4), 8),
+                                             _mm_slli_epi32(chan(6), 16))),
+          pack12);
+      const auto tail = static_cast<std::uint32_t>(_mm_extract_epi32(px, 2));
+      _mm_storel_epi64(reinterpret_cast<__m128i*>(rgb + 3 * x), px);
+      std::memcpy(rgb + 3 * x + 8, &tail, 4);
+    }
+  }
+  for (; x < n; ++x) {
+    detail::pseudocolor_one(row0, row1, fy, gy, sp, x, rgb + 3 * x);
+  }
+}
+
 }  // namespace
 
 const KernelTable* avx2_table() {
@@ -441,6 +560,7 @@ const KernelTable* avx2_table() {
     k.unpack_deltas = &unpack_deltas_avx2;
     k.trilinear_block = &trilinear_block_avx2;
     k.composite_block = &composite_block_avx2;
+    k.pseudocolor_row = &pseudocolor_row_avx2;
     return k;
   }();
   return &t;

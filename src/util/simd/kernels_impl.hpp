@@ -126,11 +126,36 @@ inline double composite_intensity(double v, const CompositeTf& tf) {
   return t < 0.0 ? 0.0 : (1.0 < t ? 1.0 : t);
 }
 
+/// One colour channel: clamp to [0, 1] (NaN -> 0), scale by 255, round
+/// half away from zero. Exact: x = cl*255 is in [0, 255], so r = trunc(x)
+/// and x - r are exact and r + (x - r >= 0.5) equals std::lround(x).
+inline std::uint8_t quantize_channel(double c) {
+  const double cl = c > 0.0 ? (c < 1.0 ? c : 1.0) : 0.0;
+  const double x = cl * 255.0;
+  const auto r = static_cast<unsigned>(x);
+  return static_cast<std::uint8_t>(r + (x - static_cast<double>(r) >= 0.5));
+}
+
+/// simd::map_color — the one colormap definition (see simd.hpp).
+inline void colormap_rgb(double t, const ColorStops& s, std::uint8_t* rgb) {
+  // std::clamp(t, 0, 1) operand order: NaN passes through.
+  t = t < 0.0 ? 0.0 : (1.0 < t ? 1.0 : t);
+  std::size_t hi = 1;
+  while (hi + 1 < s.count && s.pos[hi] < t) {
+    ++hi;
+  }
+  const double p0 = s.pos[hi - 1];
+  const double f = (t - p0) / (s.pos[hi] - p0);
+  rgb[0] = quantize_channel(s.r[hi - 1] + f * (s.r[hi] - s.r[hi - 1]));
+  rgb[1] = quantize_channel(s.g[hi - 1] + f * (s.g[hi] - s.g[hi - 1]));
+  rgb[2] = quantize_channel(s.b[hi - 1] + f * (s.b[hi] - s.b[hi - 1]));
+}
+
 /// Composite one sample of precomputed intensity t into acc[4] = {r,g,b,a}
 /// — the exact per-sample sequence of the original ray-marcher loop:
-/// opacity ramp, transparent skip, ColorMap::map's segment search + uint8
-/// channel quantization, front-to-back weight. Returns true when the
-/// accumulated opacity crossed `early` on this sample.
+/// opacity ramp, transparent skip, the shared colormap (uint8 channels),
+/// front-to-back weight. Returns true when the accumulated opacity crossed
+/// `early` on this sample.
 inline bool composite_one(double t, const CompositeTf& tf, double step,
                           double early, double* acc) {
   const double per_length = tf.opacity_scale * std::pow(t, tf.gamma);
@@ -139,26 +164,31 @@ inline bool composite_one(double t, const CompositeTf& tf, double step,
   if (a <= 0.0) {
     return false;
   }
-  std::size_t hi = 1;
-  while (hi + 1 < tf.stop_count && tf.stop_pos[hi] < t) {
-    ++hi;
-  }
-  const double p0 = tf.stop_pos[hi - 1];
-  const double f = (t - p0) / (tf.stop_pos[hi] - p0);
-  const auto chan = [f](double x, double y) {
-    const double c = x + f * (y - x);
-    const double cl = c < 0.0 ? 0.0 : (1.0 < c ? 1.0 : c);
-    // Round-trip through uint8 exactly as ColorMap::map does before the
-    // accumulator promotes the channel back to double.
-    return static_cast<double>(
-        static_cast<std::uint8_t>(std::lround(cl * 255.0)));
-  };
+  std::uint8_t rgb[3];
+  colormap_rgb(t, tf.stops, rgb);
   const double w = (1.0 - acc[3]) * a;
-  acc[0] += w * chan(tf.stop_r[hi - 1], tf.stop_r[hi]);
-  acc[1] += w * chan(tf.stop_g[hi - 1], tf.stop_g[hi]);
-  acc[2] += w * chan(tf.stop_b[hi - 1], tf.stop_b[hi]);
+  acc[0] += w * static_cast<double>(rgb[0]);
+  acc[1] += w * static_cast<double>(rgb[1]);
+  acc[2] += w * static_cast<double>(rgb[2]);
   acc[3] += w;
   return acc[3] >= early;
+}
+
+/// ColorMap::map_range's normalization: a degenerate range maps to 0.
+inline double pseudocolor_t(double v, double lo, double hi) {
+  return hi <= lo ? 0.0 : (v - lo) / (hi - lo);
+}
+
+/// One pixel of pseudocolor_row: vis::bilinear_sample's lerps from the
+/// precomputed column tables, then ColorMap::map_range.
+inline void pseudocolor_one(const double* row0, const double* row1,
+                            double fy, double gy, const PseudocolorSpec& sp,
+                            std::size_t x, std::uint8_t* rgb) {
+  const double fx = sp.fx[x];
+  const double gx = sp.gx[x];
+  const double a = row0[sp.i0[x]] * gx + row0[sp.i1[x]] * fx;
+  const double b = row1[sp.i0[x]] * gx + row1[sp.i1[x]] * fx;
+  colormap_rgb(pseudocolor_t(a * gy + b * fy, sp.lo, sp.hi), sp.stops, rgb);
 }
 
 /// Per-sample opacity at zero intensity — when this is 0 the vector rows

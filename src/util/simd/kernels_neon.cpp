@@ -188,6 +188,8 @@ const KernelTable* neon_table() {
     k.defect2d_row = &defect2d_row_neon;
     k.defect3d_row = &defect3d_row_neon;
     k.composite_block = &composite_block_neon;
+    // pseudocolor_row keeps the scalar row: a NEON version needs an aarch64
+    // host to verify its bit identity against the reference before it ships.
     return k;
   }();
   return &t;

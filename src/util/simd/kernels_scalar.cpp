@@ -155,7 +155,19 @@ bool composite_block_scalar(const double* vs, std::size_t n,
   return false;
 }
 
+void pseudocolor_row_scalar(const double* row0, const double* row1, double fy,
+                            double gy, const PseudocolorSpec* spec,
+                            std::uint8_t* rgb, std::size_t n) {
+  for (std::size_t x = 0; x < n; ++x) {
+    detail::pseudocolor_one(row0, row1, fy, gy, *spec, x, rgb + 3 * x);
+  }
+}
+
 }  // namespace
+
+void map_color(double t, const ColorStops& stops, std::uint8_t* rgb) {
+  detail::colormap_rgb(t, stops, rgb);
+}
 
 const KernelTable& scalar_table() {
   static const KernelTable t{
@@ -163,7 +175,7 @@ const KernelTable& scalar_table() {
       defect2d_row_scalar,  defect3d_row_scalar,   scan_abs_finite_scalar,
       quantize_scalar,      delta_zigzag_scalar,   pack_deltas_scalar,
       unpack_deltas_scalar, trilinear_block_scalar,
-      composite_block_scalar};
+      composite_block_scalar, pseudocolor_row_scalar};
   return t;
 }
 

@@ -2,8 +2,9 @@
 // needs no extra -m flags — only -ffp-contract=off to pin the arithmetic.
 //
 // SSE2 has no gathers, no variable 64-bit shifts, and no 64-bit compare, so
-// only the stencil rows, the codec prescan/quantize/zigzag, and nothing else
-// are vectorized here; the remaining entries inherit the scalar pointers.
+// only the stencil rows, the codec prescan/quantize/zigzag, the compositing
+// intensities and the pseudocolor colour stage are vectorized here; the
+// remaining entries inherit the scalar pointers.
 // Missing 64-bit ops are emulated:
 //  - int32 -> int64 sign extension: unpacklo with the srai(31) sign word
 //    (cvtepi32_epi64 is SSE4.1);
@@ -12,6 +13,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "src/util/simd/kernels_impl.hpp"
 
@@ -270,6 +272,101 @@ bool composite_block_sse2(const double* vs, std::size_t n,
   return false;
 }
 
+/// Lane select without SSE4.1's blendv: mask ? a : b.
+__m128d select(__m128d mask, __m128d a, __m128d b) {
+  return _mm_or_pd(_mm_and_pd(mask, a), _mm_andnot_pd(mask, b));
+}
+
+/// detail::quantize_channel on two lanes: max(c, 0) returns its second
+/// operand when c is NaN, so the clamp maps NaN to 0 like the reference;
+/// then r = trunc(x) minus the all-ones mask of x - r >= 0.5 — exact
+/// because x is in [0, 255]. Returns the bytes in the two low int32 lanes.
+__m128i quantize_channels(__m128d c) {
+  const __m128d x = _mm_mul_pd(
+      _mm_min_pd(_mm_max_pd(c, _mm_setzero_pd()), _mm_set1_pd(1.0)),
+      _mm_set1_pd(255.0));
+  const __m128i r = _mm_cvttpd_epi32(x);
+  const __m128i up = _mm_castpd_si128(
+      _mm_cmpge_pd(_mm_sub_pd(x, _mm_cvtepi32_pd(r)), _mm_set1_pd(0.5)));
+  // The low dword of each 64-bit mask lane, packed like r's lanes.
+  return _mm_sub_epi32(r, _mm_shuffle_epi32(up, _MM_SHUFFLE(3, 3, 2, 0)));
+}
+
+void pseudocolor_row_sse2(const double* row0, const double* row1, double fy,
+                          double gy, const PseudocolorSpec* spec,
+                          std::uint8_t* rgb, std::size_t n) {
+  // Bilinear corners are scalar loads (no gathers); the lerps, the range
+  // divide, the branch-free segment select (one mask per interior stop:
+  // since positions increase, the last stop below t wins), the segment
+  // divide and the channel quantization run two pixels wide. Degenerate or
+  // NaN ranges take the reference op. A NaN t needs no fallback: every
+  // compare is false on NaN, so it keeps segment 1 like the reference
+  // search, and the channel clamp max(c, 0) returns 0 for the NaN channel
+  // exactly as quantize_channel does.
+  const PseudocolorSpec& sp = *spec;
+  const ColorStops& s = sp.stops;
+  std::size_t x = 0;
+  if (sp.hi > sp.lo) {
+    const __m128d vfy = _mm_set1_pd(fy);
+    const __m128d vgy = _mm_set1_pd(gy);
+    const __m128d vlo = _mm_set1_pd(sp.lo);
+    const __m128d vrange = _mm_set1_pd(sp.hi - sp.lo);
+    const __m128d zero = _mm_setzero_pd();
+    const __m128d one = _mm_set1_pd(1.0);
+    for (; x + 2 <= n; x += 2) {
+      const std::int32_t* i0 = sp.i0 + x;
+      const std::int32_t* i1 = sp.i1 + x;
+      const __m128d gx = _mm_loadu_pd(sp.gx + x);
+      const __m128d fx = _mm_loadu_pd(sp.fx + x);
+      const __m128d a =
+          _mm_add_pd(_mm_mul_pd(_mm_set_pd(row0[i0[1]], row0[i0[0]]), gx),
+                     _mm_mul_pd(_mm_set_pd(row0[i1[1]], row0[i1[0]]), fx));
+      const __m128d b =
+          _mm_add_pd(_mm_mul_pd(_mm_set_pd(row1[i0[1]], row1[i0[0]]), gx),
+                     _mm_mul_pd(_mm_set_pd(row1[i1[1]], row1[i1[0]]), fx));
+      __m128d t = _mm_div_pd(
+          _mm_sub_pd(_mm_add_pd(_mm_mul_pd(a, vgy), _mm_mul_pd(b, vfy)), vlo),
+          vrange);
+      // std::clamp(t, 0, 1) bit-exactly: max/min return their second
+      // operand on equality or NaN, so -0.0 and NaN pass through.
+      t = _mm_min_pd(one, _mm_max_pd(zero, t));
+      __m128d p0 = _mm_set1_pd(s.pos[0]), p1 = _mm_set1_pd(s.pos[1]);
+      __m128d r0 = _mm_set1_pd(s.r[0]), r1 = _mm_set1_pd(s.r[1]);
+      __m128d g0 = _mm_set1_pd(s.g[0]), g1 = _mm_set1_pd(s.g[1]);
+      __m128d b0 = _mm_set1_pd(s.b[0]), b1 = _mm_set1_pd(s.b[1]);
+      for (std::size_t k = 1; k + 1 < s.count; ++k) {
+        const __m128d m = _mm_cmplt_pd(_mm_set1_pd(s.pos[k]), t);
+        p0 = select(m, _mm_set1_pd(s.pos[k]), p0);
+        p1 = select(m, _mm_set1_pd(s.pos[k + 1]), p1);
+        r0 = select(m, _mm_set1_pd(s.r[k]), r0);
+        r1 = select(m, _mm_set1_pd(s.r[k + 1]), r1);
+        g0 = select(m, _mm_set1_pd(s.g[k]), g0);
+        g1 = select(m, _mm_set1_pd(s.g[k + 1]), g1);
+        b0 = select(m, _mm_set1_pd(s.b[k]), b0);
+        b1 = select(m, _mm_set1_pd(s.b[k + 1]), b1);
+      }
+      const __m128d f =
+          _mm_div_pd(_mm_sub_pd(t, p0), _mm_sub_pd(p1, p0));
+      const auto chan = [&](__m128d c0, __m128d c1) {
+        return quantize_channels(
+            _mm_add_pd(c0, _mm_mul_pd(f, _mm_sub_pd(c1, c0))));
+      };
+      const __m128i px = _mm_or_si128(
+          chan(r0, r1), _mm_or_si128(_mm_slli_epi32(chan(g0, g1), 8),
+                                     _mm_slli_epi32(chan(b0, b1), 16)));
+      // x86 is little-endian: the low three bytes of each lane are r, g, b.
+      const auto p0_bits = static_cast<std::uint32_t>(_mm_cvtsi128_si32(px));
+      const auto p1_bits =
+          static_cast<std::uint32_t>(_mm_cvtsi128_si32(_mm_srli_si128(px, 4)));
+      std::memcpy(rgb + 3 * x, &p0_bits, 3);
+      std::memcpy(rgb + 3 * x + 3, &p1_bits, 3);
+    }
+  }
+  for (; x < n; ++x) {
+    detail::pseudocolor_one(row0, row1, fy, gy, sp, x, rgb + 3 * x);
+  }
+}
+
 }  // namespace
 
 const KernelTable* sse2_table() {
@@ -284,6 +381,7 @@ const KernelTable* sse2_table() {
     k.quantize = &quantize_sse2;
     k.delta_zigzag = &delta_zigzag_sse2;
     k.composite_block = &composite_block_sse2;
+    k.pseudocolor_row = &pseudocolor_row_sse2;
     return k;
   }();
   return &t;

@@ -1,7 +1,7 @@
-// Runtime-dispatched SIMD kernel layer for the three hottest inner loops:
-// the Jacobi stencil row sweeps (2-D/3-D solvers), the delta+bitpack codec
-// scan/quantize/zigzag/unpack loops, and the volume ray-marcher's trilinear
-// sample blocks.
+// Runtime-dispatched SIMD kernel layer for the hottest inner loops: the
+// Jacobi stencil row sweeps (2-D/3-D solvers), the delta+bitpack codec
+// scan/quantize/zigzag/unpack loops, the volume ray-marcher's trilinear
+// sample and compositing blocks, and the 2-D pseudocolor raster rows.
 //
 // Dispatch model: the CPU is probed once at first use (AVX2 on x86 when the
 // CPUID feature bit is set, SSE2 as the x86-64 baseline, NEON on aarch64,
@@ -33,21 +33,48 @@ struct ScanResult {
   bool finite{true};
 };
 
-/// Flattened transfer function + piecewise-linear colormap for the volume
-/// compositing kernel: plain arrays so the kernel TUs need no vis types.
-/// The stop arrays are SoA views owned by the caller (positions strictly
-/// increasing, front 0.0, back 1.0, stop_count >= 2 — ColorMap's own
-/// invariants).
+/// SoA view of a piecewise-linear colormap's stops, owned by the caller
+/// (vis::ColorMap keeps these arrays from construction). Invariants are
+/// ColorMap's: count >= 2, positions strictly increasing from 0.0 to 1.0,
+/// finite channels.
+struct ColorStops {
+  const double* pos{nullptr};
+  const double* r{nullptr};
+  const double* g{nullptr};
+  const double* b{nullptr};
+  std::size_t count{0};
+};
+
+/// The one definition of the piecewise-linear colormap, shared by
+/// vis::ColorMap, the volume compositor and the pseudocolor row kernels:
+/// t = std::clamp(t, 0, 1); segment hi = 1 + the number of interior stops
+/// whose position is < t; f = (t - pos[hi-1]) / (pos[hi] - pos[hi-1]);
+/// each channel c = x + f*(y - x) clamped to [0, 1], scaled by 255 and
+/// rounded half away from zero into rgb[0..3). A NaN t yields black.
+void map_color(double t, const ColorStops& stops, std::uint8_t* rgb);
+
+/// Flattened transfer function + colormap for the volume compositing
+/// kernel: plain values so the kernel TUs need no vis types.
 struct CompositeTf {
   double lo{0.0};
   double hi{1.0};
   double opacity_scale{0.0};
   double gamma{1.0};
-  const double* stop_pos{nullptr};
-  const double* stop_r{nullptr};
-  const double* stop_g{nullptr};
-  const double* stop_b{nullptr};
-  std::size_t stop_count{0};
+  ColorStops stops;
+};
+
+/// Per-frame set-up of the pseudocolor raster, computed once per render:
+/// for image column x the bilinear corner columns i0[x], i1[x] and weights
+/// fx[x], gx[x] = 1 - fx[x] (exactly as vis::bilinear_sample derives them),
+/// the transfer range, and the colormap.
+struct PseudocolorSpec {
+  const std::int32_t* i0{nullptr};
+  const std::int32_t* i1{nullptr};
+  const double* fx{nullptr};
+  const double* gx{nullptr};
+  double lo{0.0};
+  double hi{1.0};
+  ColorStops stops;
 };
 
 /// One function pointer per vectorized inner loop. All rows/blocks are
@@ -115,6 +142,16 @@ struct KernelTable {
   bool (*composite_block)(const double* vs, std::size_t n,
                           const CompositeTf* tf, double step,
                           double early_termination, double* acc);
+
+  /// One pseudocolor image row: for x in [0, n),
+  ///   a = row0[i0]*gx + row0[i1]*fx,  b = row1[i0]*gx + row1[i1]*fx,
+  ///   v = a*gy + b*fy   (vis::bilinear_sample's lerps),
+  ///   t = hi <= lo ? 0 : (v - lo)/(hi - lo)   (ColorMap::map_range),
+  /// and map_color(t) into rgb[3x..3x+3). row0/row1 are the field rows j0
+  /// and j1 of the output row; gy = 1 - fy.
+  void (*pseudocolor_row)(const double* row0, const double* row1, double fy,
+                          double gy, const PseudocolorSpec* spec,
+                          std::uint8_t* rgb, std::size_t n);
 };
 
 [[nodiscard]] const char* path_name(IsaPath path);

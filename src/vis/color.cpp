@@ -1,35 +1,31 @@
 #include "src/vis/color.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "src/util/error.hpp"
 
 namespace greenvis::vis {
 
-ColorMap::ColorMap(std::vector<Stop> stops) : stops_(std::move(stops)) {
-  GREENVIS_REQUIRE(stops_.size() >= 2);
-  GREENVIS_REQUIRE(stops_.front().position == 0.0);
-  GREENVIS_REQUIRE(stops_.back().position == 1.0);
-  for (std::size_t i = 1; i < stops_.size(); ++i) {
-    GREENVIS_REQUIRE(stops_[i].position > stops_[i - 1].position);
+ColorMap::ColorMap(std::vector<Stop> stops) {
+  GREENVIS_REQUIRE(stops.size() >= 2);
+  GREENVIS_REQUIRE(stops.front().position == 0.0);
+  GREENVIS_REQUIRE(stops.back().position == 1.0);
+  for (std::size_t i = 0; i < stops.size(); ++i) {
+    const Stop& s = stops[i];
+    GREENVIS_REQUIRE(i == 0 || s.position > stops[i - 1].position);
+    GREENVIS_REQUIRE(std::isfinite(s.r) && std::isfinite(s.g) &&
+                     std::isfinite(s.b));
+    pos_.push_back(s.position);
+    r_.push_back(s.r);
+    g_.push_back(s.g);
+    b_.push_back(s.b);
   }
 }
 
 Rgb ColorMap::map(double t) const {
-  t = std::clamp(t, 0.0, 1.0);
-  std::size_t hi = 1;
-  while (hi + 1 < stops_.size() && stops_[hi].position < t) {
-    ++hi;
-  }
-  const Stop& a = stops_[hi - 1];
-  const Stop& b = stops_[hi];
-  const double f = (t - a.position) / (b.position - a.position);
-  auto chan = [f](double x, double y) {
-    const double v = x + f * (y - x);
-    return static_cast<std::uint8_t>(std::lround(std::clamp(v, 0.0, 1.0) * 255.0));
-  };
-  return Rgb{chan(a.r, b.r), chan(a.g, b.g), chan(a.b, b.b)};
+  std::uint8_t rgb[3];
+  util::simd::map_color(t, stop_arrays(), rgb);
+  return Rgb{rgb[0], rgb[1], rgb[2]};
 }
 
 Rgb ColorMap::map_range(double v, double lo, double hi) const {

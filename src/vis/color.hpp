@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/util/simd/simd.hpp"
+
 namespace greenvis::vis {
 
 struct Rgb {
@@ -21,7 +23,7 @@ class ColorMap {
  public:
   struct Stop {
     double position;  // in [0, 1], strictly increasing
-    double r, g, b;   // in [0, 1]
+    double r, g, b;   // in [0, 1] (finite; map() clamps the lerp)
   };
 
   explicit ColorMap(std::vector<Stop> stops);
@@ -39,11 +41,15 @@ class ColorMap {
   [[nodiscard]] static ColorMap hot();
   [[nodiscard]] static ColorMap grayscale();
 
-  /// The validated stop list (for flattening into kernel-friendly arrays).
-  [[nodiscard]] const std::vector<Stop>& stops() const { return stops_; }
+  /// SoA view of the stops for the raster and compositing kernels (valid
+  /// while this ColorMap lives).
+  [[nodiscard]] util::simd::ColorStops stop_arrays() const {
+    return {pos_.data(), r_.data(), g_.data(), b_.data(), pos_.size()};
+  }
 
  private:
-  std::vector<Stop> stops_;
+  // Flattened once at construction so no renderer re-flattens per call.
+  std::vector<double> pos_, r_, g_, b_;
 };
 
 }  // namespace greenvis::vis

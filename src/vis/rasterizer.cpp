@@ -2,26 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "src/util/error.hpp"
+#include "src/util/simd/simd.hpp"
 
 namespace greenvis::vis {
-
-double bilinear_sample(const util::Field2D& field, double x, double y) {
-  const double max_x = static_cast<double>(field.nx() - 1);
-  const double max_y = static_cast<double>(field.ny() - 1);
-  x = std::clamp(x, 0.0, max_x);
-  y = std::clamp(y, 0.0, max_y);
-  const auto i0 = static_cast<std::size_t>(x);
-  const auto j0 = static_cast<std::size_t>(y);
-  const std::size_t i1 = std::min(i0 + 1, field.nx() - 1);
-  const std::size_t j1 = std::min(j0 + 1, field.ny() - 1);
-  const double fx = x - static_cast<double>(i0);
-  const double fy = y - static_cast<double>(j0);
-  const double a = field.at(i0, j0) * (1.0 - fx) + field.at(i1, j0) * fx;
-  const double b = field.at(i0, j1) * (1.0 - fx) + field.at(i1, j1) * fx;
-  return a * (1.0 - fy) + b * fy;
-}
 
 namespace {
 
@@ -50,7 +38,43 @@ bool worth_parallel(const util::ThreadPool* pool, std::size_t rows) {
   return pool != nullptr && pool->size() > 1 && rows >= 4 * pool->size();
 }
 
+/// bilinear_sample's per-axis set-up: clamp the coordinate to the field,
+/// truncate to its cell, clamp the neighbor, and take the weight.
+struct AxisSample {
+  std::size_t c0;
+  std::size_t c1;
+  double f;
+};
+
+AxisSample axis_sample(double c, std::size_t cells) {
+  c = std::clamp(c, 0.0, static_cast<double>(cells - 1));
+  const auto c0 = static_cast<std::size_t>(c);
+  return {c0, std::min(c0 + 1, cells - 1), c - static_cast<double>(c0)};
+}
+
+AxisSample axis_sample(const AxisMap& m, std::size_t pixel,
+                       std::size_t cells) {
+  return axis_sample(static_cast<double>(pixel) * m.scale + m.offset, cells);
+}
+
+/// Column tables of the row kernel. Per calling thread and reused across
+/// frames, so a steady-state render allocates nothing.
+struct ColumnTables {
+  std::vector<std::int32_t> i0, i1;
+  std::vector<double> fx, gx;
+};
+
 }  // namespace
+
+double bilinear_sample(const util::Field2D& field, double x, double y) {
+  const AxisSample sx = axis_sample(x, field.nx());
+  const AxisSample sy = axis_sample(y, field.ny());
+  const double a = field.at(sx.c0, sy.c0) * (1.0 - sx.f) +
+                   field.at(sx.c1, sy.c0) * sx.f;
+  const double b = field.at(sx.c0, sy.c1) * (1.0 - sx.f) +
+                   field.at(sx.c1, sy.c1) * sx.f;
+  return a * (1.0 - sy.f) + b * sy.f;
+}
 
 Image render_pseudocolor(const util::Field2D& field, const ColorMap& cmap,
                          std::size_t width, std::size_t height, double lo,
@@ -65,18 +89,40 @@ void render_pseudocolor_into(const util::Field2D& field, const ColorMap& cmap,
                              double hi, util::ThreadPool* pool, Image& image) {
   GREENVIS_REQUIRE(width > 0 && height > 0);
   GREENVIS_REQUIRE(field.nx() > 0 && field.ny() > 0);
+  GREENVIS_REQUIRE(field.nx() <= std::numeric_limits<std::int32_t>::max());
+  static_assert(sizeof(Rgb) == 3, "rows are written as packed RGB bytes");
   image.reset(width, height);
   const AxisMap mx = axis_map(field.nx(), width);
   const AxisMap my = axis_map(field.ny(), height);
 
+  // Everything that does not depend on the row is computed once here:
+  // bilinear_sample's column indices and weights, and the colormap view.
+  thread_local ColumnTables tables;
+  tables.i0.resize(width);
+  tables.i1.resize(width);
+  tables.fx.resize(width);
+  tables.gx.resize(width);
+  for (std::size_t x = 0; x < width; ++x) {
+    const AxisSample s = axis_sample(mx, x, field.nx());
+    tables.i0[x] = static_cast<std::int32_t>(s.c0);
+    tables.i1[x] = static_cast<std::int32_t>(s.c1);
+    tables.fx[x] = s.f;
+    tables.gx[x] = 1.0 - s.f;
+  }
+  const util::simd::PseudocolorSpec spec{
+      tables.i0.data(), tables.i1.data(), tables.fx.data(), tables.gx.data(),
+      lo,               hi,               cmap.stop_arrays()};
+  const util::simd::KernelTable& kern = util::simd::kernels();
+  const double* values = field.values().data();
+  const std::size_t nx = field.nx();
+
   auto rows = [&](std::size_t y_begin, std::size_t y_end) {
     for (std::size_t y = y_begin; y < y_end; ++y) {
-      const double fy = static_cast<double>(y) * my.scale + my.offset;
-      for (std::size_t x = 0; x < width; ++x) {
-        const double v = bilinear_sample(
-            field, static_cast<double>(x) * mx.scale + mx.offset, fy);
-        image.at(x, y) = cmap.map_range(v, lo, hi);
-      }
+      const AxisSample s = axis_sample(my, y, field.ny());
+      kern.pseudocolor_row(values + s.c0 * nx, values + s.c1 * nx, s.f,
+                           1.0 - s.f, &spec,
+                           reinterpret_cast<std::uint8_t*>(&image.at(0, y)),
+                           width);
     }
   };
   if (worth_parallel(pool, height)) {

@@ -17,7 +17,10 @@ namespace greenvis::vis {
 
 /// Render `field` as a pseudocolor image of the given size using bilinear
 /// resampling. `lo`/`hi` fix the transfer-function range (pass min/max for
-/// auto). Row-parallel over `pool` when it has >1 worker and enough rows to
+/// auto). Every pixel equals cmap.map_range(bilinear_sample(...), lo, hi):
+/// the column tables are built once per call and each row is one
+/// `util::simd` pseudocolor_row kernel call, bit-identical on every ISA
+/// path. Row-parallel over `pool` when it has >1 worker and enough rows to
 /// amortize dispatch; otherwise the serial path runs (identical pixels —
 /// rows are disjoint).
 [[nodiscard]] Image render_pseudocolor(const util::Field2D& field,

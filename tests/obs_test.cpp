@@ -26,11 +26,19 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+/// Allocations of at least kLargeAllocation bytes. One tracer span block
+/// (4096 SpanEvents) is ~256 KB; nothing a ThreadPool allocates for itself
+/// comes near this size.
+constexpr std::size_t kLargeAllocation = 64 * 1024;
+std::atomic<std::uint64_t> g_large_allocations{0};
 }  // namespace
 
 namespace {
 void* counted_alloc(std::size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (n >= kLargeAllocation) {
+    g_large_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
   if (void* p = std::malloc(n == 0 ? 1 : n)) {
     return p;
   }
@@ -45,6 +53,9 @@ void* operator new[](std::size_t n) { return counted_alloc(n); }
 // with the replaced delete is an alloc/dealloc mismatch under ASan.
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (n >= kLargeAllocation) {
+    g_large_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
   return std::malloc(n == 0 ? 1 : n);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
@@ -439,6 +450,20 @@ TEST(DisabledMode, ScopedSpansAllocateNothing) {
                  kCatHeat);
   }
   EXPECT_EQ(g_allocations.load(), before);
+}
+
+TEST(DisabledMode, PoolWorkersAllocateNoSpanStorage) {
+  // Every pool worker labels itself via set_thread_name, which registers a
+  // per-thread span buffer that is never freed. With tracing off no span is
+  // ever pushed, so no span block may be allocated: an eager block per
+  // worker left ~0.75 MB resident per ThreadPool(4) for the whole process.
+  set_enabled(false);
+  const std::uint64_t before = g_large_allocations.load();
+  for (int i = 0; i < 8; ++i) {
+    util::ThreadPool pool(4);
+    pool.parallel_for(0, 64, [](std::size_t, std::size_t) {});
+  }  // the destructor joins the workers, so each has labeled itself
+  EXPECT_EQ(g_large_allocations.load(), before);
 }
 
 TEST(DisabledMode, EnabledIsASingleRelaxedLoad) {

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "src/util/error.hpp"
+#include "src/util/simd/simd.hpp"
 #include "src/vis/color.hpp"
 #include "src/vis/contour.hpp"
 #include "src/vis/filters.hpp"
@@ -173,6 +174,49 @@ TEST(Rasterizer, OneCellFieldAxisRendersUniformly) {
                                           ColorMap::grayscale(), 3, 3, 0.0,
                                           4.0, nullptr);
   EXPECT_EQ(single.at(1, 1), (Rgb{128, 128, 128}));
+}
+
+// The row kernel must reproduce the per-pixel definition
+// map_range(bilinear_sample(...)) on every ISA path, including 1-pixel
+// image axes (sample the field-axis center) and 1-cell field axes (pin to
+// coordinate 0), where the column tables degenerate.
+TEST(Rasterizer, DegenerateAxesMatchPerPixelDefinitionOnEveryPath) {
+  const auto coord = [](std::size_t p, std::size_t pixels, std::size_t cells) {
+    const double extent = static_cast<double>(cells - 1);
+    return pixels <= 1 ? extent / 2.0
+                       : static_cast<double>(p) *
+                             (extent / static_cast<double>(pixels - 1));
+  };
+  const util::simd::IsaPath before = util::simd::active_path();
+  const ColorMap cmap = ColorMap::hot();
+  for (const util::simd::IsaPath path : util::simd::supported_paths()) {
+    util::simd::set_path(path);
+    for (const auto& [nx, ny] : {std::pair<std::size_t, std::size_t>{1, 1},
+                                {1, 4}, {4, 1}, {5, 3}, {9, 9}}) {
+      util::Field2D f(nx, ny);
+      for (std::size_t j = 0; j < ny; ++j) {
+        for (std::size_t i = 0; i < nx; ++i) {
+          f.at(i, j) = 1.5 * static_cast<double>(i) +
+                       0.7 * static_cast<double>(j) + 0.1;
+        }
+      }
+      for (const auto& [w, h] : {std::pair<std::size_t, std::size_t>{1, 1},
+                                {1, 5}, {5, 1}, {7, 3}, {13, 2}}) {
+        const Image img = render_pseudocolor(f, cmap, w, h, 0.0, 12.0);
+        for (std::size_t y = 0; y < h; ++y) {
+          for (std::size_t x = 0; x < w; ++x) {
+            const double v = bilinear_sample(f, coord(x, w, nx),
+                                             coord(y, h, ny));
+            ASSERT_EQ(img.at(x, y), cmap.map_range(v, 0.0, 12.0))
+                << util::simd::path_name(path) << " field " << nx << "x"
+                << ny << " image " << w << "x" << h << " pixel (" << x
+                << ", " << y << ")";
+          }
+        }
+      }
+    }
+  }
+  util::simd::set_path(before);
 }
 
 TEST(Rasterizer, DrawSegmentsLeavesMarks) {

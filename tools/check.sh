@@ -58,10 +58,10 @@ echo "== configure =="
 cmake -B "$BUILD_DIR" -S . "${CONFIGURE_ARGS[@]}" >/dev/null
 
 echo "== build =="
-cmake --build "$BUILD_DIR" -j
+cmake --build "$BUILD_DIR" -j"$(nproc)"
 
 echo "== test =="
-ctest --test-dir "$BUILD_DIR" --output-on-failure -j
+ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 
 if [[ "$BENCH_SMOKE" == 1 ]]; then
   echo "== bench smoke =="
@@ -82,8 +82,8 @@ if [[ "$SIMD" == 1 ]]; then
   # Tier-1 suite under the forced-scalar reference path, then again under
   # the auto-dispatched best native path. Both must be green: the vector
   # kernels are a pure performance substitution, never a semantic one.
-  GREENVIS_SIMD=scalar ctest --test-dir "$BUILD_DIR" --output-on-failure -j
-  GREENVIS_SIMD=auto ctest --test-dir "$BUILD_DIR" --output-on-failure -j
+  GREENVIS_SIMD=scalar ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
+  GREENVIS_SIMD=auto ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
   # End-to-end bit-identity: the full pipeline comparison (solver sweeps,
   # codec round-trips, renders, energy model) must print byte-for-byte the
   # same report whichever ISA path executed it.
